@@ -5,15 +5,12 @@ failures), 3 for infeasible problems or exceeded size budgets.
 
 Assignment arguments are '+'/'-' strings with one character per
 non-ancilla vertex; the ancilla coordinate is implicit and always +1.
-Internal parallelism is bounded by --threads (fallback: the
-WDG_LAB_THREADS environment variable); results never depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,6 +24,7 @@ from .compose import (
 )
 from .core import evaluate, f_value, format_rational, l1_norm, parse_assignment
 from .documents import (
+    _rational_field,
     optimization_summary,
     parse_function_document,
     parse_target_document,
@@ -60,14 +58,6 @@ def _read_wdg(path: str):
     return parse_wdg_document(Path(path).read_text())
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("WDG_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_eval(args) -> int:
     wdg = _read_wdg(args.file)
     x = parse_assignment(args.input)
@@ -78,7 +68,7 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     wdg = _read_wdg(args.file)
-    document = report_document(wdg, threads=args.threads)
+    document = report_document(wdg)
     sys.stdout.write(serialize_report(document, plain=args.plain))
     return EXIT_OK
 
@@ -86,18 +76,9 @@ def cmd_report(args) -> int:
 def cmd_compose(args) -> int:
     a = _read_wdg(args.file_a)
     b = _read_wdg(args.file_b)
-    size = (a.dimension * b.dimension) ** 2
-    if size > args.entry_budget:
-        raise SizeBudgetExceededError(
-            f"composed matrix would have {size} entries (budget {args.entry_budget})"
-        )
-    result = compose_graphs(args.mode, a, b)
-    actual = l1_norm(result.wdg)
+    result = compose_graphs(args.mode, a, b, entry_budget=args.entry_budget)
     print(f"predicted_l1 = {format_rational(result.predicted_l1)}")
-    print(f"actual_l1 = {format_rational(actual)}")
-    if actual != result.predicted_l1:  # unreachable: the build verifies it
-        print("error: predicted and computed L1 norms disagree", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    print(f"actual_l1 = {format_rational(l1_norm(result.wdg))}")
     Path(args.out).write_text(serialize_wdg(result.wdg))
     return EXIT_OK
 
@@ -117,7 +98,9 @@ def cmd_optimize(args) -> int:
     spec = parse_target_document(Path(args.target).read_text())
     if args.epsilon is not None:
         spec = PartialFunctionSpec(
-            dimension=spec.dimension, points=spec.points, epsilon=args.epsilon
+            dimension=spec.dimension,
+            points=spec.points,
+            epsilon=_rational_field(args.epsilon, "--epsilon"),
         )
     solver = maximize_l1 if args.objective == MAXIMIZE else minimize_delta
     result = solver(spec, budget=args.budget, seed=args.seed, chains=args.chains)
@@ -146,17 +129,28 @@ def cmd_csop_order(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subparsers inherit this class, so every command-line error reaches
+    # main() and is reported like any other invalid input.
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wdglab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="bound on internal parallelism (default: WDG_LAB_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -190,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("objective", choices=(MAXIMIZE, MINIMIZE))
     p.add_argument("target", help="target document")
     p.add_argument("--epsilon", help="override the document tolerance (rational)")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=int, default=1)
+    p.add_argument("--chains", type=_positive_int, default=1)
     p.add_argument("--out", help="also write the found WDG document here")
     p.set_defaults(func=cmd_optimize)
 
@@ -226,8 +220,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_guard_assignment_tokens(argv))
     try:
+        args = parser.parse_args(_guard_assignment_tokens(argv))
         return args.func(args)
     except (InfeasibleError, SizeBudgetExceededError, LimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

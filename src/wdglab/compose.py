@@ -19,6 +19,18 @@ The closed forms are exact, not just bounds: the three contribution
 roles (left edge x right diagonal, left diagonal x right edge, edge x
 edge) land on disjoint composite index patterns, so no cancellation can
 occur.
+
+The build relies on that disjointness: it writes each role's edges
+straight into one edge list, with coefficients
+
+    role                   AND          OR
+    edge x edge            1/2          -1/2
+    left edge x diagonal   K'/m         (1-K')/m
+    diagonal x right edge  K/n          (1-K)/n
+
+for factor dimensions n and m, instead of summing dense Kronecker
+matrices.  ``build_wdg`` guards the argument: it raises
+DuplicateEdgeError if two contributions ever land on one vertex pair.
 """
 
 from __future__ import annotations
@@ -26,22 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    WDG,
-    Assignment,
-    RationalLike,
-    as_rational,
-    l1_norm,
-    matrix_of,
-    wdg_of_matrix,
-)
+from .core import WDG, Assignment, RationalLike, as_rational, build_wdg, l1_norm
 from .errors import SizeBudgetExceededError, WdgError
-from .tensor import RationalMatrix, add, identity, kronecker, scale
 
 AND = "and"
 OR = "or"
 
-DEFAULT_ENTRY_BUDGET = 1 << 20  # max matrix entries for one composition stage
+DEFAULT_ENTRY_BUDGET = 1 << 20  # max associated-matrix entries of one composite
 
 
 @dataclass(frozen=True)
@@ -75,52 +78,82 @@ def predicted_l1(
     return abs(1 - kb) * la + abs(1 - ka) * lb + la * lb
 
 
-def _as_rational_matrix(wdg: WDG) -> RationalMatrix:
-    m = matrix_of(wdg)
-    return RationalMatrix(rows=m.dimension, cols=m.dimension, entries=m.entries)
+def _build(
+    mode: str,
+    d1: WDG,
+    d2: WDG,
+    pair: Fraction,
+    left: Fraction,
+    right: Fraction,
+    shift: Fraction,
+) -> ComposedResult:
+    """The composite graph from its three contribution roles.
 
-
-def _build(mode: str, matrix: RationalMatrix, shift: Fraction, expected_l1: Fraction) -> ComposedResult:
-    # wdg_of_matrix re-validates symmetry and the zero diagonal, which both
-    # constructions guarantee; a failure here means the formula was broken.
-    wdg = wdg_of_matrix(matrix.entries, shift=shift)
+    With composite index (i, j) -> i * m + j, a left edge (u, v, w) and a
+    right edge (p, q, w') put ``pair * w * w'`` on {(u,p), (v,q)} and on
+    {(u,q), (v,p)}; a left edge puts ``left * w`` on {(u,j), (v,j)} for
+    every j; a right edge puts ``right * w'`` on {(i,p), (i,q)} for every i.
+    """
+    n, m = d1.dimension, d2.dimension
+    edges = []
+    for a in d1.edges:
+        u, v = a.u * m, a.v * m
+        for b in d2.edges:
+            w = pair * a.weight * b.weight
+            edges.append((u + b.u, v + b.v, w))
+            edges.append((u + b.v, v + b.u, w))
+        w = left * a.weight
+        edges.extend((u + j, v + j, w) for j in range(m))
+    for b in d2.edges:
+        w = right * b.weight
+        edges.extend((i * m + b.u, i * m + b.v, w) for i in range(n))
+    wdg = build_wdg(n * m, edges, shift)
+    expected = predicted_l1(mode, l1_norm(d1), d1.shift, l1_norm(d2), d2.shift)
     actual = l1_norm(wdg)
-    if actual != expected_l1:
+    if actual != expected:
         raise WdgError(
-            f"composed L1 {actual} does not match the closed form {expected_l1}"
+            f"composed L1 {actual} does not match the closed form {expected}"
         )
-    return ComposedResult(wdg=wdg, shift=shift, predicted_l1=expected_l1, mode=mode)
+    return ComposedResult(wdg=wdg, shift=shift, predicted_l1=expected, mode=mode)
 
 
 def compose_and(d1: WDG, d2: WDG) -> ComposedResult:
     """Product composition: f''(x (x) x') = f(x) * f'(x')."""
-    n, m = d1.dimension, d2.dimension
     k1, k2 = d1.shift, d2.shift
-    a = add(_as_rational_matrix(d1), scale(identity(n), Fraction(2) * k1 / n))
-    b = add(_as_rational_matrix(d2), scale(identity(m), Fraction(2) * k2 / m))
-    composed = add(
-        scale(kronecker(a, b), Fraction(1, 2)),
-        scale(identity(n * m), Fraction(-2) * k1 * k2 / (n * m)),
+    return _build(
+        AND, d1, d2, Fraction(1, 2), k2 / d2.dimension, k1 / d1.dimension, k1 * k2
     )
-    expected = predicted_l1(AND, l1_norm(d1), k1, l1_norm(d2), k2)
-    return _build(AND, composed, k1 * k2, expected)
 
 
 def compose_or(d1: WDG, d2: WDG) -> ComposedResult:
     """Inclusion-exclusion composition: f'' = f + f' - f * f' on product inputs."""
-    n, m = d1.dimension, d2.dimension
     k1, k2 = d1.shift, d2.shift
-    kr1 = scale(identity(n), (1 - k1) / n)
-    kr2 = scale(identity(m), (1 - k2) / m)
-    mr1 = add(kr1, scale(_as_rational_matrix(d1), Fraction(-1, 2)))
-    mr2 = add(kr2, scale(_as_rational_matrix(d2), Fraction(-1, 2)))
-    composed = scale(add(kronecker(kr1, kr2), scale(kronecker(mr1, mr2), -1)), 2)
-    expected = predicted_l1(OR, l1_norm(d1), k1, l1_norm(d2), k2)
-    return _build(OR, composed, k1 + k2 - k1 * k2, expected)
+    return _build(
+        OR,
+        d1,
+        d2,
+        Fraction(-1, 2),
+        (1 - k2) / d2.dimension,
+        (1 - k1) / d1.dimension,
+        k1 + k2 - k1 * k2,
+    )
 
 
-def compose(mode: str, d1: WDG, d2: WDG) -> ComposedResult:
-    return compose_and(d1, d2) if _check_mode(mode) == AND else compose_or(d1, d2)
+def compose(
+    mode: str, d1: WDG, d2: WDG, entry_budget: int = DEFAULT_ENTRY_BUDGET
+) -> ComposedResult:
+    """The AND or OR composition of two graphs.
+
+    Raises SizeBudgetExceededError, before building anything, when the
+    composite's associated matrix would exceed ``entry_budget`` entries.
+    """
+    _check_mode(mode)
+    size = (d1.dimension * d2.dimension) ** 2
+    if size > entry_budget:
+        raise SizeBudgetExceededError(
+            f"composed matrix would have {size} entries (budget {entry_budget})"
+        )
+    return compose_and(d1, d2) if mode == AND else compose_or(d1, d2)
 
 
 def product_assignment(a: Assignment, b: Assignment) -> Assignment:
@@ -143,7 +176,7 @@ def iterate_compose(
     """Stages D_1 = base, D_{i+1} = compose(D_i, base), up to ``depth``.
 
     Raises SizeBudgetExceededError before building any stage whose
-    matrix would exceed ``entry_budget`` entries.
+    associated matrix would exceed ``entry_budget`` entries.
     """
     _check_mode(mode)
     if depth < 1:
@@ -152,12 +185,5 @@ def iterate_compose(
         ComposedResult(wdg=base, shift=base.shift, predicted_l1=l1_norm(base), mode=mode)
     ]
     for _ in range(1, depth):
-        current = stages[-1].wdg
-        next_dim = current.dimension * base.dimension
-        if next_dim * next_dim > entry_budget:
-            raise SizeBudgetExceededError(
-                f"stage matrix would have {next_dim * next_dim} entries "
-                f"(budget {entry_budget})"
-            )
-        stages.append(compose(mode, current, base))
+        stages.append(compose(mode, stages[-1].wdg, base, entry_budget))
     return stages

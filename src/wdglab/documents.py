@@ -25,7 +25,12 @@ from .core import (
 )
 from .errors import DocumentError, WdgError
 from .optimize import OptimizationResult, PartialFunctionSpec
-from .oracle import advantage_indicator, extrema, vertex_weight_bound
+from .oracle import (
+    DEFAULT_ENUMERATION_LIMIT,
+    advantage_indicator,
+    extrema,
+    vertex_weight_bound,
+)
 
 FORMAT_VERSION = 1
 
@@ -76,18 +81,19 @@ def _int_field(value, field: str) -> int:
     return value
 
 
+def _wdg_fields(wdg: WDG) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "dimension": wdg.dimension,
+        "shift": format_rational(wdg.shift),
+        "edges": [
+            {"u": e.u, "v": e.v, "w": format_rational(e.weight)} for e in wdg.edges
+        ],
+    }
+
+
 def serialize_wdg(wdg: WDG) -> str:
-    return _dump(
-        {
-            "format_version": FORMAT_VERSION,
-            "dimension": wdg.dimension,
-            "shift": format_rational(wdg.shift),
-            "edges": [
-                {"u": e.u, "v": e.v, "w": format_rational(e.weight)}
-                for e in wdg.edges
-            ],
-        }
-    )
+    return _dump(_wdg_fields(wdg))
 
 
 def parse_wdg_document(text: str) -> WDG:
@@ -129,7 +135,7 @@ def _parse_points(entries, length: int) -> list:
                 f"point {entry['input']!r} has length {len(x)}, expected {length}"
             )
         value = entry["value"]
-        if value not in (0, 1) or isinstance(value, bool):
+        if type(value) is not int or value not in (0, 1):
             raise DocumentError(f"point value must be 0 or 1, got {value!r}")
         points.append((x, value))
     return points
@@ -189,10 +195,10 @@ def parse_function_document(text: str) -> PartialBooleanFunction:
         raise DocumentError(str(exc)) from exc
 
 
-def report_document(wdg: WDG, limit: int = 26, threads: int = 1) -> dict:
+def report_document(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> dict:
     """Deterministic analysis report; every field is reproducible by
     re-running the corresponding library operation."""
-    report = extrema(wdg, limit=limit, threads=threads)
+    report = extrema(wdg, limit=limit)
     document = {
         "l1_norm": format_rational(l1_norm(wdg)),
         "l1_with_shift": format_rational(l1_norm_with_shift(wdg)),
@@ -228,13 +234,5 @@ def optimization_summary(result: OptimizationResult) -> dict:
         "feasible": result.feasible,
         "verified": result.verified,
         "iterations": result.iterations,
-        "wdg": {
-            "format_version": FORMAT_VERSION,
-            "dimension": result.wdg.dimension,
-            "shift": format_rational(result.wdg.shift),
-            "edges": [
-                {"u": e.u, "v": e.v, "w": format_rational(e.weight)}
-                for e in result.wdg.edges
-            ],
-        },
+        "wdg": _wdg_fields(result.wdg),
     }

@@ -14,7 +14,6 @@ ties resolved toward the lexicographically smallest assignment under
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -124,32 +123,21 @@ def _merge(a, b):
     return best_a, arg_ba, worst_a, arg_wa
 
 
-def _scan_cube(wdg: WDG, threads: int = 1, block_bits: Optional[int] = None):
+def _scan_cube(wdg: WDG, block_bits: int = 0):
     """Exact integer extrema scan; returns (denom, max, argmax, min, argmin)."""
     n = wdg.num_variables
     denom, int_edges = _int_edges(wdg)
     adj = _adjacency(wdg.dimension, int_edges)
-    if block_bits is None:
-        block_bits = 0 if threads <= 1 else min(4, max(n - 1, 0))
     block_bits = min(block_bits, n)
     nlow = n - block_bits
-
-    def run_block(block: int):
+    merged = None
+    for block in range(1 << block_bits):
         x = [1] * wdg.dimension
         for j in range(block_bits):
             if (block >> j) & 1:
                 x[nlow + 1 + j] = -1
-        return _scan_block(adj, x, nlow)
-
-    blocks = range(1 << block_bits)
-    if threads > 1 and block_bits > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-    merged = results[0]
-    for r in results[1:]:
-        merged = _merge(merged, r)
+        result = _scan_block(adj, x, nlow)
+        merged = result if merged is None else _merge(merged, result)
     best, arg_best, worst, arg_worst = merged
     return denom, best, arg_best, worst, arg_worst
 
@@ -170,8 +158,7 @@ def vertex_weight_bound(wdg: WDG) -> Fraction:
 def extrema(
     wdg: WDG,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    threads: int = 1,
-    block_bits: Optional[int] = None,
+    block_bits: int = 0,
 ) -> ExtremaReport:
     """Exact max/min of g over the cube, or bounds-only beyond ``limit``.
 
@@ -192,7 +179,7 @@ def extrema(
             lower_bound=lower,
             upper_bound=upper,
         )
-    denom, best, arg_best, worst, arg_worst = _scan_cube(wdg, threads, block_bits)
+    denom, best, arg_best, worst, arg_worst = _scan_cube(wdg, block_bits)
     gmax = Fraction(best, denom)
     gmin = Fraction(worst, denom)
     return ExtremaReport(

@@ -1,7 +1,8 @@
 """Exact matrix utilities: Kronecker and Hadamard products over rationals.
 
-These back the norm identities and the graph compositions.  All entries
-are Fractions; there is no floating point anywhere in this module.  The
+These back the norm identities and give the dense reference form of
+the graph compositions, which build their edge lists directly.  All
+entries are Fractions; there is no floating point in this module.  The
 "entrywise square root of the entrywise square" that turns a signed
 matrix into its absolute-value twin is implemented directly as ``abs``,
 which is exact on rationals and avoids irrational intermediates.
@@ -44,27 +45,6 @@ def identity(n: int) -> RationalMatrix:
         rows=n,
         cols=n,
         entries=tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-    )
-
-
-def add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatchError(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return RationalMatrix(
-        rows=a.rows,
-        cols=a.cols,
-        entries=tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-        ),
-    )
-
-
-def scale(a: RationalMatrix, factor: RationalLike) -> RationalMatrix:
-    c = as_rational(factor)
-    return RationalMatrix(
-        rows=a.rows,
-        cols=a.cols,
-        entries=tuple(tuple(c * x for x in row) for row in a.entries),
     )
 
 

@@ -67,15 +67,6 @@ class TestReport:
         assert main(["report", six_vertex_file, "--plain"]) == 0
         assert "delta=1" in capsys.readouterr().out.split()
 
-    def test_threads_flag(self, six_vertex_file, capsys):
-        assert main(["--threads", "2", "report", six_vertex_file]) == 0
-        assert json.loads(capsys.readouterr().out)["delta"] == "1"
-
-    def test_threads_env(self, six_vertex_file, capsys, monkeypatch):
-        monkeypatch.setenv("WDG_LAB_THREADS", "2")
-        assert main(["report", six_vertex_file]) == 0
-        assert json.loads(capsys.readouterr().out)["delta"] == "1"
-
 
 class TestCompose:
     def test_and_golden(self, pair_files, tmp_path, capsys):
@@ -184,6 +175,36 @@ class TestOptimize:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    def test_float_point_value_exits_2(self, tmp_path, capsys):
+        text = json.dumps(
+            {
+                "format_version": 1,
+                "dimension": 3,
+                "epsilon": "0",
+                "points": [{"input": "++", "value": 1.0}],
+            }
+        )
+        path = tmp_path / "float.json"
+        path.write_text(text)
+        assert main(["optimize", "maximize_l1", str(path), "--budget", "50"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--epsilon", "1/0"],
+            ["--epsilon", "x"],
+            ["--budget", "-5"],
+            ["--budget", "many"],
+            ["--chains", "0"],
+        ],
+    )
+    def test_bad_option_exits_2(self, target_file, capsys, option):
+        assert main(["optimize", "maximize_l1", target_file, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestCertificate:

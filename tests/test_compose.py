@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wdglab import (
+    ComposedResult,
     SizeBudgetExceededError,
     WdgError,
     build_wdg,
@@ -12,13 +13,17 @@ from wdglab import (
     compose_or,
     evaluate,
     f_value,
+    identity,
     iterate_compose,
+    kronecker,
     l1_norm,
     l1_norm_with_shift,
+    matrix,
     matrix_of,
     predicted_l1,
     product_assignment,
     support_classes,
+    wdg_of_matrix,
 )
 
 F = Fraction
@@ -76,6 +81,63 @@ class TestGoldenPair:
                 assert m.entries[i][i] == 0
                 for j in range(m.dimension):
                     assert m.entries[i][j] == m.entries[j][i]
+
+
+def _combine(*terms):
+    """The matrix sum of coefficient * matrix over ``terms``."""
+    first = terms[0][1]
+    return matrix(
+        [
+            [sum(c * t.entries[i][j] for c, t in terms) for j in range(first.cols)]
+            for i in range(first.rows)
+        ]
+    )
+
+
+def dense_compose(mode, d1, d2):
+    """The composition as a sum of dense Kronecker products of matrices."""
+    n, m = d1.dimension, d2.dimension
+    k1, k2 = d1.shift, d2.shift
+    m1, m2 = matrix(matrix_of(d1).entries), matrix(matrix_of(d2).entries)
+    if mode == "and":
+        a = _combine((1, m1), (2 * k1 / n, identity(n)))
+        b = _combine((1, m2), (2 * k2 / m, identity(m)))
+        composed = _combine(
+            (F(1, 2), kronecker(a, b)), (-2 * k1 * k2 / (n * m), identity(n * m))
+        )
+        shift = k1 * k2
+    else:
+        kr1 = _combine(((1 - k1) / n, identity(n)))
+        kr2 = _combine(((1 - k2) / m, identity(m)))
+        mr1 = _combine((1, kr1), (F(-1, 2), m1))
+        mr2 = _combine((1, kr2), (F(-1, 2), m2))
+        composed = _combine((2, kronecker(kr1, kr2)), (-2, kronecker(mr1, mr2)))
+        shift = k1 + k2 - k1 * k2
+    wdg = wdg_of_matrix(composed.entries, shift=shift)
+    expected = predicted_l1(mode, l1_norm(d1), k1, l1_norm(d2), k2)
+    return ComposedResult(wdg=wdg, shift=shift, predicted_l1=expected, mode=mode)
+
+
+class TestDenseReference:
+    def test_golden_pair(self, pair_left, pair_right):
+        for mode in ("and", "or"):
+            assert compose(mode, pair_left, pair_right) == dense_compose(
+                mode, pair_left, pair_right
+            )
+
+    def test_random_pairs(self, rng, random_wdg):
+        def factor(k):
+            # every tenth factor has dimension 1; shifts of 0 and 1 zero the
+            # diagonal coefficients K/n (AND) and (1-K)/n (OR)
+            wdg = random_wdg(rng, 1 if k % 10 == 0 else rng.randint(1, 6))
+            shift = rng.choice((0, 1, wdg.shift))
+            edges = [(e.u, e.v, e.weight) for e in wdg.edges]
+            return build_wdg(wdg.dimension, edges, shift)
+
+        for k in range(50):
+            d1, d2 = factor(k), factor(k + 5)
+            for mode in ("and", "or"):
+                assert compose(mode, d1, d2) == dense_compose(mode, d1, d2), (k, mode)
 
 
 class TestUnitElements:

@@ -111,6 +111,19 @@ class TestTargetDocument:
         with pytest.raises(DocumentError):
             parse_target_document(text)
 
+    @pytest.mark.parametrize("value", [1.0, 0.0, True, "1"])
+    def test_value_must_be_int(self, value):
+        text = json.dumps(
+            {
+                "format_version": 1,
+                "dimension": 3,
+                "epsilon": "0",
+                "points": [{"input": "++", "value": value}],
+            }
+        )
+        with pytest.raises(DocumentError):
+            parse_target_document(text)
+
 
 class TestFunctionDocument:
     def test_round_trip(self):

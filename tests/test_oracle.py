@@ -88,7 +88,6 @@ class TestExtrema:
             single = extrema(wdg)
             for block_bits in (1, 2, 3):
                 assert extrema(wdg, block_bits=block_bits) == single
-            assert extrema(wdg, threads=3) == single
 
 
 class TestVertexWeightBound:
