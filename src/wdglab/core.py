@@ -20,6 +20,7 @@ rounding can never sneak in.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -37,6 +38,12 @@ RationalLike = Union[int, str, Fraction]
 
 Assignment = tuple  # tuple of +1/-1 ints, ancilla coordinate excluded
 
+# Largest |exponent| in a rational string like "1e3": Fraction expands the
+# power of ten exactly, so "1e999999999" would run for hours.  4300 is
+# Python's default cap on int string digits, which bounds the mantissa.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Convert an int, Fraction, or string like "3/4" to an exact Fraction.
@@ -49,7 +56,12 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        match = _EXPONENT.search(text)
+        # int() itself refuses an exponent of more than 4300 digits
+        if match and int(match.group(1).replace("_", "")) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in absolute value")
+        return Fraction(text)
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a Fraction or 'p/q' string")
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")

@@ -16,21 +16,15 @@ from typing import Union
 from .boolfn import PartialBooleanFunction
 from .core import (
     WDG,
+    as_rational,
     build_wdg,
     format_assignment,
     format_rational,
-    l1_norm,
-    l1_norm_with_shift,
     parse_assignment,
 )
 from .errors import DocumentError, WdgError
 from .optimize import OptimizationResult, PartialFunctionSpec
-from .oracle import (
-    DEFAULT_ENUMERATION_LIMIT,
-    advantage_indicator,
-    extrema,
-    vertex_weight_bound,
-)
+from .oracle import extrema
 
 FORMAT_VERSION = 1
 
@@ -63,13 +57,9 @@ def _expect_keys(document: dict, keys: tuple) -> None:
 
 
 def _rational_field(value: Union[str, int], field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"{field} must be a rational string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return Fraction(value.strip())
+            return as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{field} is not a rational: {value!r}") from exc
     raise DocumentError(f"{field} must be a rational string, got {value!r}")
@@ -195,21 +185,24 @@ def parse_function_document(text: str) -> PartialBooleanFunction:
         raise DocumentError(str(exc)) from exc
 
 
-def report_document(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> dict:
+def report_document(wdg: WDG) -> dict:
     """Deterministic analysis report; every field is reproducible by
-    re-running the corresponding library operation."""
-    report = extrema(wdg, limit=limit)
+    re-running the corresponding library operation.  The extrema bounds
+    are twice the l1 norm and twice the vertex weight bound."""
+    report = extrema(wdg)
+    l1 = report.upper_bound / 2
+    l1_with_shift = l1 + abs(wdg.shift)
     document = {
-        "l1_norm": format_rational(l1_norm(wdg)),
-        "l1_with_shift": format_rational(l1_norm_with_shift(wdg)),
+        "l1_norm": format_rational(l1),
+        "l1_with_shift": format_rational(l1_with_shift),
         "exact": report.exact,
     }
     if report.exact:
         document["delta"] = format_rational(report.delta)
     document["delta_lower"] = format_rational(report.lower_bound)
     document["delta_upper"] = format_rational(report.upper_bound)
-    document["epsilon_bound"] = format_rational(vertex_weight_bound(wdg))
-    document["advantage_indicator"] = format_rational(advantage_indicator(wdg))
+    document["epsilon_bound"] = format_rational(report.lower_bound / 2)
+    document["advantage_indicator"] = format_rational(l1_with_shift**2)
     if report.exact:
         document["argmax"] = format_assignment(report.argmax)
         document["argmin"] = format_assignment(report.argmin)

@@ -9,10 +9,12 @@ within a tolerance:
 * minimize_delta: minimize max g - min g subject to sum |w| = 1 and
   |g(x)/(max g - min g) - t(x) + C| <= epsilon.
 
-The two are the same problem up to rescaling the weights, and the
-search exploits that: the annealed objective sum|w| / (max g - min g)
-is scale-invariant, and the final exact normalization (divide by the
-spread, or by the weight sum) picks the requested form.
+The two are the same problem up to rescaling the weights, so the search
+ranks every candidate by the one scale-free ratio sum|w| / (max g - min g)
+and normalizes once at the end: the unit-spread weights with objective =
+ratio (maximize_l1), or those divided by the ratio, with objective =
+1/ratio (minimize_delta).  Both forms rank candidates alike, because the
+exact check is scale-invariant and a < b exactly when 1/a > 1/b for a, b > 0.
 
 Search runs in floating point; every reported solution is snapped to
 small-denominator rationals, rescaled exactly, and re-verified against
@@ -44,13 +46,13 @@ from .errors import (
     InfeasibleError,
     LimitExceededError,
 )
-from .oracle import approximation_error, extrema
+from .oracle import approximation_error, delta_exact, extrema
 
 MAXIMIZE = "maximize_l1"
 MINIMIZE = "minimize_delta"
 
 SNAP_DENOMINATOR = 1 << 16
-ENUMERATION_LIMIT = 16  # oracle verification is exhaustive; keep it desk-scale
+ENUMERATION_LIMIT = 16  # the cube sign matrix has 2^n rows; keep it desk-scale
 _PENALTY = 1e4
 
 
@@ -141,7 +143,7 @@ def _check_provably_feasible(spec: PartialFunctionSpec) -> None:
 
 def _sign_columns(dimension: int, pairs, assignments) -> np.ndarray:
     """Rows: assignments; columns: template edges; entries: x_u * x_v."""
-    rows = np.asarray(assignments, dtype=np.int8).reshape(len(assignments), -1)
+    rows = np.asarray(assignments, dtype=np.int8).reshape(len(assignments), dimension - 1)
     ones = np.ones(len(assignments), dtype=np.int8)
 
     def coord(i):
@@ -152,32 +154,26 @@ def _sign_columns(dimension: int, pairs, assignments) -> np.ndarray:
 
 @dataclass
 class _Candidate:
-    objective: Fraction
-    weights: tuple  # of ((u, v), Fraction), exactly normalized
+    ratio: Fraction  # sum |w| / spread, the same at every scale
+    weights: tuple  # one Fraction per template pair, scaled to unit spread
     c: Fraction
 
 
-def _exact_candidate(
-    spec: PartialFunctionSpec,
-    pairs,
-    weights,
-    mode: str,
-) -> Optional[_Candidate]:
-    """Exactly normalize snapped weights and check both constraints.
+def _exact_candidate(spec: PartialFunctionSpec, pairs, weights) -> Optional[_Candidate]:
+    """Exactly rescale weights to unit spread and check the epsilon band.
 
     Returns None when the candidate is degenerate or misses the epsilon
-    band; otherwise the normalized weights, the optimal constant C, and
-    the exact objective.
+    band; otherwise the unit-spread weights, the exact ratio and the
+    optimal constant C.  Nothing here depends on the scale of ``weights``.
     """
     edges = [(u, v, w) for (u, v), w in zip(pairs, weights) if w != 0]
     if not edges:
         return None
     raw = build_wdg(spec.dimension, edges)
-    report = extrema(raw, limit=ENUMERATION_LIMIT)
+    report = extrema(raw)
     delta = report.delta
     if delta == 0:
         return None
-    total = l1_norm(raw)
     if spec.points:
         values = [t - evaluate(raw, x) / delta for x, t in spec.points]
         lo, hi = min(values), max(values)
@@ -186,14 +182,9 @@ def _exact_candidate(
         c = (hi + lo) / 2
     else:
         c = -report.min / delta
-    scale = delta if mode == MAXIMIZE else total
-    normalized = tuple(((u, v), w / scale) for u, v, w in edges)
-    objective = total / delta if mode == MAXIMIZE else delta / total
-    return _Candidate(objective=objective, weights=normalized, c=c)
-
-
-def _better(mode: str, a: Fraction, b: Fraction) -> bool:
-    return a > b if mode == MAXIMIZE else a < b
+    return _Candidate(
+        ratio=l1_norm(raw) / delta, weights=tuple(w / delta for w in weights), c=c
+    )
 
 
 _SNAP_GRIDS = (8, 16, 64, 256, 4096, SNAP_DENOMINATOR)
@@ -221,27 +212,21 @@ _POLISH_FACTORS = (
 )
 
 
-def _polish(spec: PartialFunctionSpec, pairs, candidate: _Candidate, mode: str) -> _Candidate:
+def _polish(spec: PartialFunctionSpec, pairs, candidate: _Candidate) -> _Candidate:
     """Coordinate descent with the sign pattern frozen: rescale one weight
     at a time by fixed rational factors, keeping exact-feasible improvements."""
-    weights = {pair: Fraction(0) for pair in pairs}
-    weights.update(dict(candidate.weights))
     best = candidate
     for _ in range(2):
         improved = False
-        for pair in pairs:
-            if weights[pair] == 0:
+        for i in range(len(pairs)):
+            if best.weights[i] == 0:
                 continue
             for factor in _POLISH_FACTORS:
-                trial = dict(weights)
-                trial[pair] = weights[pair] * factor
-                result = _exact_candidate(
-                    spec, pairs, [trial[p] for p in pairs], mode
-                )
-                if result is not None and _better(mode, result.objective, best.objective):
+                trial = list(best.weights)
+                trial[i] *= factor
+                result = _exact_candidate(spec, pairs, trial)
+                if result is not None and result.ratio > best.ratio:
                     best = result
-                    weights = {p: Fraction(0) for p in pairs}
-                    weights.update(dict(result.weights))
                     improved = True
                     break
         if not improved:
@@ -271,21 +256,16 @@ def _anneal_chain(
     pairs,
     budget: int,
     seed: int,
-    mode: str,
+    sign_cube: np.ndarray,
+    sign_points: np.ndarray,
 ) -> tuple:
-    """One annealing chain; returns (best exact candidate or None, iterations)."""
+    """One annealing chain; returns (best exact candidate or None, iterations).
+
+    ``sign_cube`` and ``sign_points`` are the sign columns of the whole
+    cube and of the target points, built once per solve.
+    """
     rng = np.random.default_rng(seed)
-    n = spec.dimension - 1
-    cube = [
-        tuple(1 if (p >> i) & 1 == 0 else -1 for i in range(n)) for p in range(1 << n)
-    ]
-    sign_cube = _sign_columns(spec.dimension, pairs, cube)
-    if spec.points:
-        sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
-        targets = np.array([t for _, t in spec.points], dtype=np.float64)
-    else:
-        sign_points = np.zeros((0, len(pairs)), dtype=np.int8)
-        targets = np.zeros(0)
+    targets = np.array([t for _, t in spec.points], dtype=np.float64)
     eps = float(spec.epsilon)
 
     def score(w: np.ndarray) -> float:
@@ -305,10 +285,8 @@ def _anneal_chain(
 
     def consider(weights) -> None:
         nonlocal best_exact
-        candidate = _exact_candidate(spec, pairs, weights, mode)
-        if candidate is not None and (
-            best_exact is None or _better(mode, candidate.objective, best_exact.objective)
-        ):
+        candidate = _exact_candidate(spec, pairs, weights)
+        if candidate is not None and (best_exact is None or candidate.ratio > best_exact.ratio):
             best_exact = candidate
 
     def try_snap(w: np.ndarray) -> None:
@@ -360,13 +338,13 @@ def _anneal_chain(
             last_snapped_score = best_float_score
     try_snap(best_float)
     if best_exact is not None:
-        best_exact = _polish(spec, pairs, best_exact, mode)
+        best_exact = _polish(spec, pairs, best_exact)
     return best_exact, iterations
 
 
 def _oracle_verified(wdg: WDG, spec: PartialFunctionSpec, c: Fraction, mode: str) -> bool:
     """Independent exact re-check of the normalization and epsilon constraints."""
-    report = extrema(wdg, limit=ENUMERATION_LIMIT)
+    report = extrema(wdg)
     if mode == MAXIMIZE:
         if report.delta != 1:
             return False
@@ -396,13 +374,19 @@ def _solve(
         )
     pairs = _canonical_template(template, spec.dimension)
     _check_provably_feasible(spec)
+    n = spec.dimension - 1
+    cube = [
+        tuple(1 if (p >> i) & 1 == 0 else -1 for i in range(n)) for p in range(1 << n)
+    ]
+    sign_cube = _sign_columns(spec.dimension, pairs, cube)
+    sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
     best: Optional[_Candidate] = None
     best_iterations = 0
     for chain in range(max(1, chains)):
-        candidate, iterations = _anneal_chain(spec, pairs, budget, seed + chain, mode)
-        if candidate is None:
-            continue
-        if best is None or _better(mode, candidate.objective, best.objective):
+        candidate, iterations = _anneal_chain(
+            spec, pairs, budget, seed + chain, sign_cube, sign_points
+        )
+        if candidate is not None and (best is None or candidate.ratio > best.ratio):
             best = candidate
             best_iterations = iterations
     if best is None:
@@ -410,14 +394,18 @@ def _solve(
             f"no feasible solution found within {budget} iterations; "
             f"this does not prove the problem infeasible"
         )
+    if mode == MAXIMIZE:
+        weights, objective = best.weights, best.ratio
+    else:
+        weights, objective = [w / best.ratio for w in best.weights], 1 / best.ratio
     wdg = build_wdg(
-        spec.dimension, [(u, v, w) for (u, v), w in best.weights], shift=best.c
+        spec.dimension, [(u, v, w) for (u, v), w in zip(pairs, weights)], shift=best.c
     )
     verified = _oracle_verified(wdg, spec, best.c, mode)
     return OptimizationResult(
         wdg=wdg,
         c=best.c,
-        objective=best.objective,
+        objective=objective,
         feasible=True,
         iterations=best_iterations,
         verified=verified,
@@ -453,12 +441,11 @@ def min_to_max(result: OptimizationResult) -> OptimizationResult:
     Dividing the weights by the achieved spread makes the new spread 1
     and the new weight sum 1/spread; the constant C carries over
     unchanged because the epsilon constraint only sees g divided by the
-    spread.
+    spread.  Raises LimitExceededError beyond the oracle's exact limit.
     """
-    report = extrema(result.wdg, limit=ENUMERATION_LIMIT)
-    if report.delta == 0:
+    delta = delta_exact(result.wdg)
+    if delta == 0:
         raise DegenerateGraphError("delta is zero; cannot rescale to unit spread")
-    delta = report.delta
     wdg = build_wdg(
         result.wdg.dimension,
         [(e.u, e.v, e.weight / delta) for e in result.wdg.edges],

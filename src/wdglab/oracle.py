@@ -14,6 +14,7 @@ ties resolved toward the lexicographically smallest assignment under
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -41,7 +42,9 @@ class ExtremaReport:
 
     When ``exact`` is true, ``delta == max - min`` and the witnesses are
     the lexicographically smallest maximizer/minimizer.  The bounds hold
-    unconditionally: ``lower_bound <= delta <= upper_bound``.
+    unconditionally: ``lower_bound <= delta <= upper_bound``, where
+    ``lower_bound`` is twice :func:`vertex_weight_bound` and
+    ``upper_bound`` is twice the l1 norm.
     """
 
     exact: bool
@@ -148,11 +151,11 @@ def vertex_weight_bound(wdg: WDG) -> Fraction:
     Twice this value is a guaranteed lower bound on delta: flipping the
     heaviest vertex alone swings g by that much.
     """
-    incidence = [Fraction(0)] * wdg.dimension
+    incidence = defaultdict(Fraction)
     for e in wdg.edges:
         incidence[e.u] += abs(e.weight)
         incidence[e.v] += abs(e.weight)
-    return max(incidence) if incidence else Fraction(0)
+    return max(incidence.values(), default=Fraction(0))
 
 
 def extrema(
@@ -245,23 +248,26 @@ def support_classes(
     return SupportClasses(s_plus=frozenset(plus), s_minus=frozenset(minus))
 
 
-def range_check(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> bool:
-    """True iff 0 <= f(x) <= 1 on the whole cube."""
-    report = extrema(wdg, limit=limit)
+def _exact_extrema(wdg: WDG) -> ExtremaReport:
+    """The exact extrema report; raises where extrema gives bounds only."""
+    report = extrema(wdg)
     if not report.exact:
         raise LimitExceededError(
-            f"{wdg.num_variables} free coordinates exceed the limit {limit}"
+            f"{wdg.num_variables} free coordinates exceed the limit "
+            f"{DEFAULT_ENUMERATION_LIMIT}"
         )
+    return report
+
+
+def range_check(wdg: WDG) -> bool:
+    """True iff 0 <= f(x) <= 1 on the whole cube."""
+    report = _exact_extrema(wdg)
     return report.min + wdg.shift >= 0 and report.max + wdg.shift <= 1
 
 
-def normalize_range(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> WDG:
+def normalize_range(wdg: WDG) -> WDG:
     """Rescale weights by 1/delta and re-shift so f spans exactly [0, 1]."""
-    report = extrema(wdg, limit=limit)
-    if not report.exact:
-        raise LimitExceededError(
-            f"{wdg.num_variables} free coordinates exceed the limit {limit}"
-        )
+    report = _exact_extrema(wdg)
     if report.delta == 0:
         raise DegenerateGraphError("delta is zero; the graph value is constant")
     delta = report.delta
@@ -295,11 +301,6 @@ def advantage_indicator(wdg: WDG) -> Fraction:
     return l1_norm_with_shift(wdg) ** 2
 
 
-def delta_exact(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Fraction:
+def delta_exact(wdg: WDG) -> Fraction:
     """Convenience: the exact max-minus-min of g (raises beyond the limit)."""
-    report = extrema(wdg, limit=limit)
-    if not report.exact:
-        raise LimitExceededError(
-            f"{wdg.num_variables} free coordinates exceed the limit {limit}"
-        )
-    return report.delta
+    return _exact_extrema(wdg).delta

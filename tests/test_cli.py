@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,54 @@ class TestReport:
     def test_plain_report(self, six_vertex_file, capsys):
         assert main(["report", six_vertex_file, "--plain"]) == 0
         assert "delta=1" in capsys.readouterr().out.split()
+
+
+class TestHugeInputs:
+    """Inputs whose exact expansion would take minutes are refused at once."""
+
+    def _graph_file(self, tmp_path, dimension, edges):
+        path = tmp_path / "graph.json"
+        path.write_text(
+            json.dumps(
+                {"format_version": 1, "dimension": dimension, "shift": "0", "edges": edges}
+            )
+        )
+        return str(path)
+
+    def _run(self, argv, capsys):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        return code, capsys.readouterr(), elapsed
+
+    @pytest.mark.parametrize("weight", ["1e999999999", "1e-999999999"])
+    def test_huge_exponent_weight_exits_2(self, tmp_path, capsys, weight):
+        path = self._graph_file(tmp_path, 2, [{"u": 0, "v": 1, "w": weight}])
+        code, captured, elapsed = self._run(["report", path], capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert elapsed < 1
+
+    def test_huge_exponent_epsilon_exits_2(self, tmp_path, capsys):
+        spec = PartialFunctionSpec(dimension=3, points=(((1, 1), 1),), epsilon=0)
+        path = tmp_path / "t.json"
+        path.write_text(serialize_target(spec))
+        argv = ["optimize", "maximize_l1", str(path), "--epsilon", "1e999999999"]
+        code, captured, elapsed = self._run(argv, capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert elapsed < 1
+
+    def test_empty_graph_of_huge_dimension(self, tmp_path, capsys):
+        path = self._graph_file(tmp_path, 1_000_000, [])
+        code, captured, elapsed = self._run(["report", path], capsys)
+        assert code == 0
+        document = json.loads(captured.out)
+        assert document["exact"] is False
+        assert document["epsilon_bound"] == "0"
+        assert elapsed < 1
 
 
 class TestCompose:

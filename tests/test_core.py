@@ -49,6 +49,14 @@ class TestRationalHelpers:
         assert as_rational("-0.25") == F(-1, 4)
         assert as_rational(F(1, 8)) == F(1, 8)
 
+    def test_as_rational_exponents(self):
+        assert as_rational("1e3") == 1000
+        assert as_rational("25E-2") == F(1, 4)
+        assert as_rational("1e-4300") == F(1, 10**4300)
+        for text in ("1e4301", "1e-4301", "1e999999999", "1e-999999999", "1e" + "0" * 9 + "5000", "1e" + "9" * 5000):
+            with pytest.raises(ValueError):
+                as_rational(text)
+
     def test_as_rational_rejects_float_and_bool(self):
         with pytest.raises(TypeError):
             as_rational(0.5)

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from wdglab import PartialFunctionSpec, and_family_table, build_wdg
+from wdglab import (
+    PartialFunctionSpec,
+    advantage_indicator,
+    and_family_table,
+    build_wdg,
+    format_rational,
+    l1_norm,
+    l1_norm_with_shift,
+    vertex_weight_bound,
+)
 from wdglab.documents import (
     parse_function_document,
     parse_target_document,
@@ -15,6 +24,7 @@ from wdglab.documents import (
     serialize_wdg,
 )
 from wdglab.errors import DocumentError
+from wdglab.oracle import DEFAULT_ENUMERATION_LIMIT
 
 F = Fraction
 
@@ -174,6 +184,17 @@ class TestReport:
         assert "delta" not in document
         assert document["delta_lower"] == "1"
         assert document["delta_upper"] == "1"
+
+    def test_fields_match_library_operations(self, rng, random_wdg):
+        graphs = [random_wdg(rng, rng.randint(1, 8)) for _ in range(20)]
+        graphs += [random_wdg(rng, 30, edge_probability=0.1) for _ in range(3)]
+        for wdg in graphs:
+            document = report_document(wdg)
+            assert document["exact"] is (wdg.num_variables <= DEFAULT_ENUMERATION_LIMIT)
+            assert document["l1_norm"] == format_rational(l1_norm(wdg))
+            assert document["l1_with_shift"] == format_rational(l1_norm_with_shift(wdg))
+            assert document["epsilon_bound"] == format_rational(vertex_weight_bound(wdg))
+            assert document["advantage_indicator"] == format_rational(advantage_indicator(wdg))
 
     def test_plain_rendering(self, six_vertex_example):
         text = serialize_report(report_document(six_vertex_example), plain=True)

@@ -174,6 +174,44 @@ class TestDuality:
         assert maximized.verified
         assert maximized.c == minimized.c
 
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (PartialFunctionSpec(dimension=6, points=SIX_VERTEX_POINTS, epsilon=0), dict(budget=100, seed=1)),
+            (PartialFunctionSpec(dimension=6, points=SIX_VERTEX_POINTS, epsilon=0), dict(budget=100, seed=4, chains=2)),
+            (
+                PartialFunctionSpec(dimension=6, points=SIX_VERTEX_POINTS, epsilon=0),
+                dict(budget=500, seed=2, template=[(0, 2), (0, 5), (1, 2), (3, 4), (2, 5), (1, 4)]),
+            ),
+            (PartialFunctionSpec(dimension=5, points=(), epsilon=0), dict(budget=500, seed=3)),
+            (PartialFunctionSpec(dimension=6, points=SIX_VERTEX_POINTS, epsilon=F(1, 10)), dict(budget=100, seed=5)),
+        ],
+        ids=["six-vertex", "chains-2", "custom-template", "empty-target", "epsilon-1/10"],
+    )
+    def test_min_to_max_of_minimize_is_maximize(self, spec, kwargs):
+        # both objectives rank candidates by the same scale-free ratio, so
+        # the same seed finds the same graph up to the final rescaling
+        assert min_to_max(minimize_delta(spec, **kwargs)) == maximize_l1(spec, **kwargs)
+
+    def _unsearched(self, wdg):
+        spec = PartialFunctionSpec(dimension=wdg.dimension, points=(), epsilon=0)
+        return OptimizationResult(
+            wdg=wdg, c=F(0), objective=F(0), feasible=True, iterations=0, verified=False, spec=spec
+        )
+
+    def test_rescales_beyond_optimizer_limit(self):
+        # 17 free coordinates: past the optimizer's search limit, within the oracle's
+        wdg = build_wdg(18, [(0, 1, F(1, 4)), (2, 3, F(-1, 4)), (5, 17, F(1, 2))])
+        maximized = min_to_max(self._unsearched(wdg))
+        assert maximized.objective == F(1, 2)
+        assert [e.weight for e in maximized.wdg.edges] == [F(1, 8), F(-1, 8), F(1, 4)]
+        assert maximized.verified
+
+    def test_beyond_oracle_limit_raises(self):
+        wdg = build_wdg(28, [(0, 1, F(1, 4)), (26, 27, F(1, 2))])
+        with pytest.raises(LimitExceededError):
+            min_to_max(self._unsearched(wdg))
+
     def test_degenerate_input(self, six_vertex_target):
         empty = OptimizationResult(
             wdg=build_wdg(3, []),
