@@ -27,6 +27,12 @@ from .optimize import OptimizationResult, PartialFunctionSpec
 from .oracle import extrema
 
 FORMAT_VERSION = 1
+# Cap on the bit length of a parsed numerator or denominator.  Every int of
+# at most 1000 digits is below 2**3322, and every int past it has over 1000.
+# Reports print squares of sums, like (l1 + |shift|)**2, and Python refuses
+# to print an int of more than 4300 digits; for two 1000-digit terms that
+# square has about 4000.
+MAX_RATIONAL_BITS = 3322
 
 
 def _dump(document: dict) -> str:
@@ -59,9 +65,13 @@ def _expect_keys(document: dict, keys: tuple) -> None:
 def _rational_field(value: Union[str, int], field: str) -> Fraction:
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return as_rational(value)
+            rational = as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{field} is not a rational: {value!r}") from exc
+        bits = max(rational.numerator.bit_length(), rational.denominator.bit_length())
+        if bits > MAX_RATIONAL_BITS:
+            raise DocumentError(f"{field} has a numerator or denominator of over 1000 digits")
+        return rational
     raise DocumentError(f"{field} must be a rational string, got {value!r}")
 
 

@@ -1,24 +1,44 @@
 """Brute-force ground truth over the input hypercube.
 
-Enumeration walks the cube in Gray-code order so each step flips a
-single coordinate and updates the graph value in O(degree) integer
-operations: all weights are pre-scaled by their common denominator, so
-the whole scan runs on Python ints and stays exact.
+All weights are pre-scaled by their common denominator, so every scan
+runs on integers and stays exact.  The same scaled integers give the
+bounds ``2 * vertex weight bound <= delta <= 2 * l1`` without a
+Fraction sum.
 
-The scan may be partitioned into blocks that fix the highest-index
-coordinates; block results merge associatively (larger value wins,
-ties resolved toward the lexicographically smallest assignment under
--1 < +1), so the outcome is independent of the partitioning.
+The exact extrema scan splits the n free coordinates.  The lowest-
+significance L of them form a block: one numpy vector of the graph
+value at each of their 2**L points, in lexicographic order (-1 first),
+for fixed values of the n - L high coordinates.  Precomputed over the
+block are the edges inside {ancilla} + low, and one cross column per
+high coordinate h holding its edges to the low coordinates and the
+ancilla; the edges among high coordinates are one scalar.  The high
+coordinates are walked in Gray-code order, so each step flips one h and
+updates the block with one vector add of twice its cross column and the
+scalar with O(degree) integer operations.
+
+The vectors are int64 when 4 * sum|w| < 2**63: that bounds every value
+and every doubled cross column, so nothing can overflow.  Otherwise they
+hold Python ints (numpy object dtype), still exact, in narrower blocks.
+
+Witnesses are the lexicographically smallest maximizer and minimizer
+under -1 < +1.  Inside a block the high coordinates are fixed and
+argmax/argmin return the first extremal index, which is the smallest low
+assignment; block results merge associatively (larger value wins, ties
+go to the smaller assignment), so the outcome does not depend on the
+block width or on the order the blocks are visited.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .core import (
     WDG,
@@ -28,12 +48,15 @@ from .core import (
     build_wdg,
     check_assignment,
     evaluate,
-    l1_norm,
     l1_norm_with_shift,
 )
 from .errors import DegenerateGraphError, LimitExceededError
 
 DEFAULT_ENUMERATION_LIMIT = 26  # max free coordinates for an exhaustive scan
+# log2 of the block length: int64 blocks stay cache-sized, and Python-int
+# blocks are narrower because each entry is a separate heap object.
+_INT64_BITS = 12
+_OBJECT_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -70,7 +93,10 @@ def _int_edges(wdg: WDG):
     if not wdg.edges:
         return 1, []
     denom = lcm(*(e.weight.denominator for e in wdg.edges))
-    return denom, [(e.u, e.v, int(e.weight * denom)) for e in wdg.edges]
+    return denom, [
+        (e.u, e.v, e.weight.numerator * (denom // e.weight.denominator))
+        for e in wdg.edges
+    ]
 
 
 def _adjacency(dimension: int, int_edges) -> list:
@@ -81,39 +107,19 @@ def _adjacency(dimension: int, int_edges) -> list:
     return adj
 
 
-def _scan_block(adj, x, nlow):
-    """Gray-code scan over coordinates 1..nlow with the rest of x held fixed.
+@functools.cache
+def _sign_table(bits: int) -> np.ndarray:
+    """Read-only int8 signs of the 2**bits low points in lexicographic order.
 
-    ``x`` is the full coordinate list (ancilla at 0) and is mutated in
-    place.  Returns (max, argmax, min, argmin) with g values as scaled ints.
+    Row 0 is the ancilla (all +1); row j is the j-th low coordinate, whose
+    sign is bit ``bits - j`` of the point's index (clear means -1).
     """
-    g = 0
-    for u, pairs in enumerate(adj):
-        for v, w in pairs:
-            if u < v:
-                g += w * x[u] * x[v]
-    best = worst = g
-    arg_best = arg_worst = tuple(x[1:])
-    for i in range(1, 1 << nlow):
-        v = (i & -i).bit_length()  # Gray code flips coordinate trailing_zeros(i)+1
-        s = 0
-        for u, w in adj[v]:
-            s += w * x[u]
-        g -= 2 * s * x[v]
-        x[v] = -x[v]
-        if g > best:
-            best, arg_best = g, tuple(x[1:])
-        elif g == best:
-            a = tuple(x[1:])
-            if a < arg_best:
-                arg_best = a
-        if g < worst:
-            worst, arg_worst = g, tuple(x[1:])
-        elif g == worst:
-            a = tuple(x[1:])
-            if a < arg_worst:
-                arg_worst = a
-    return best, arg_best, worst, arg_worst
+    index = np.arange(1 << bits)
+    table = np.ones((bits + 1, 1 << bits), dtype=np.int8)
+    shifts = np.arange(bits - 1, -1, -1)[:, None]
+    table[1:] = ((index >> shifts) & 1) * 2 - 1
+    table.flags.writeable = False
+    return table
 
 
 def _merge(a, b):
@@ -126,23 +132,79 @@ def _merge(a, b):
     return best_a, arg_ba, worst_a, arg_wa
 
 
-def _scan_cube(wdg: WDG, block_bits: int = 0):
-    """Exact integer extrema scan; returns (denom, max, argmax, min, argmin)."""
-    n = wdg.num_variables
-    denom, int_edges = _int_edges(wdg)
-    adj = _adjacency(wdg.dimension, int_edges)
-    block_bits = min(block_bits, n)
-    nlow = n - block_bits
-    merged = None
-    for block in range(1 << block_bits):
-        x = [1] * wdg.dimension
-        for j in range(block_bits):
-            if (block >> j) & 1:
-                x[nlow + 1 + j] = -1
-        result = _scan_block(adj, x, nlow)
-        merged = result if merged is None else _merge(merged, result)
-    best, arg_best, worst, arg_worst = merged
-    return denom, best, arg_best, worst, arg_worst
+def _block_layout(l1: int):
+    """(dtype, log2 block length) for a graph with scaled-integer l1 norm.
+
+    Every block value and doubled cross column is at most 2 * l1 in
+    absolute value, so int64 cannot overflow below the bound.
+    """
+    if 4 * l1 < 1 << 63:
+        return np.int64, _INT64_BITS
+    return object, _OBJECT_BITS
+
+
+def _scan_cube(n: int, int_edges, l1: int):
+    """Exact extrema of the scaled-integer graph value over the cube.
+
+    ``l1`` is the sum of |w| over ``int_edges``.  Returns (max, argmax,
+    min, argmin) with the values as scaled ints.
+    """
+    dtype, bits = _block_layout(l1)
+    low = min(n, bits)
+    high = n - low
+    # Block row r is the ancilla (r = 0) or the low coordinate high + r;
+    # the high coordinates 1..high start at -1.
+    inner = np.zeros((low + 1, low + 1), dtype=dtype)
+    cross = np.zeros((high, low + 1), dtype=dtype)
+    high_adj = [[] for _ in range(high)]
+    high_sum = 0
+    for u, v, w in int_edges:  # u < v
+        if u == 0 or u > high:
+            r = u - high if u else 0
+            if v > high:
+                inner[r, v - high] = w
+            else:
+                cross[v - 1, r] = w
+        elif v > high:
+            cross[u - 1, v - high] = w
+        else:
+            high_adj[u - 1].append((v - 1, w))
+            high_adj[v - 1].append((u - 1, w))
+            high_sum += w
+    signs = _sign_table(low).astype(dtype)
+    cur = (signs * (inner @ signs)).sum(axis=0)
+    columns = cross @ signs
+    cur -= columns.sum(axis=0)
+    columns *= 2
+    y = [-1] * high
+
+    def block():
+        i, j = int(cur.argmax()), int(cur.argmin())
+        key = tuple(y)
+        return int(cur[i]) + high_sum, (key, i), int(cur[j]) + high_sum, (key, j)
+
+    merged = block()
+    for step in range(1, 1 << high):
+        h = (step & -step).bit_length() - 1
+        s = 0
+        for k, w in high_adj[h]:
+            s += w * y[k]
+        if y[h] < 0:
+            cur += columns[h]
+            high_sum += 2 * s
+        else:
+            cur -= columns[h]
+            high_sum -= 2 * s
+        y[h] = -y[h]
+        merged = _merge(merged, block())
+    best, (hi_best, i), worst, (hi_worst, j) = merged
+    low_signs = _sign_table(low)[1:]
+    return (
+        best,
+        hi_best + tuple(low_signs[:, i].tolist()),
+        worst,
+        hi_worst + tuple(low_signs[:, j].tolist()),
+    )
 
 
 def vertex_weight_bound(wdg: WDG) -> Fraction:
@@ -158,19 +220,22 @@ def vertex_weight_bound(wdg: WDG) -> Fraction:
     return max(incidence.values(), default=Fraction(0))
 
 
-def extrema(
-    wdg: WDG,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-    block_bits: int = 0,
-) -> ExtremaReport:
+def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
     """Exact max/min of g over the cube, or bounds-only beyond ``limit``.
 
     Witnesses are canonical: the lexicographically smallest maximizer
     and minimizer under the ordering -1 < +1.
     """
-    eps = vertex_weight_bound(wdg)
-    lower = 2 * eps
-    upper = 2 * l1_norm(wdg)
+    denom, int_edges = _int_edges(wdg)
+    l1 = 0
+    incidence = defaultdict(int)
+    for u, v, w in int_edges:
+        a = abs(w)
+        l1 += a
+        incidence[u] += a
+        incidence[v] += a
+    lower = Fraction(2 * max(incidence.values(), default=0), denom)
+    upper = Fraction(2 * l1, denom)
     if wdg.num_variables > limit:
         return ExtremaReport(
             exact=False,
@@ -182,7 +247,7 @@ def extrema(
             lower_bound=lower,
             upper_bound=upper,
         )
-    denom, best, arg_best, worst, arg_worst = _scan_cube(wdg, block_bits)
+    best, arg_best, worst, arg_worst = _scan_cube(wdg.num_variables, int_edges, l1)
     gmax = Fraction(best, denom)
     gmin = Fraction(worst, denom)
     return ExtremaReport(

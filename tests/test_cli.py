@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wdglab import PartialFunctionSpec, and_family_table
+from wdglab import PartialFunctionSpec, and_family_table, build_wdg
 from wdglab.cli import main
 from wdglab.documents import (
     parse_wdg_document,
@@ -69,6 +69,49 @@ class TestReport:
         assert "delta=1" in capsys.readouterr().out.split()
 
 
+class TestScanSpeed:
+    """Exact reports of fixed graphs within a wall-clock budget: a Python-int
+    walk of the 2**22 cube takes several seconds."""
+
+    PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+
+    def _report(self, tmp_path, capsys, wdg):
+        path = tmp_path / "graph.json"
+        path.write_text(serialize_wdg(wdg))
+        start = time.perf_counter()
+        assert main(["report", str(path)]) == 0
+        elapsed = time.perf_counter() - start
+        return json.loads(capsys.readouterr().out), elapsed
+
+    def test_int64_graph_of_22_variables(self, tmp_path, capsys):
+        d = 23
+        edges = [
+            (i, (i + s) % d, F((7 * i + 3 * s) % 17 - 8, 1 + (i + s) % 5))
+            for s in (1, 2, 5, 8)
+            for i in range(d)
+        ]
+        document, elapsed = self._report(tmp_path, capsys, build_wdg(d, edges, F(1, 2)))
+        assert document["delta"] == "1282/5"
+        assert document["argmax"] == "--+++--+++-----+-+-+++"
+        assert document["argmin"] == "++++-+---+-+--++--+++-"
+        assert elapsed < 2
+
+    def test_graph_past_int64_of_16_variables(self, tmp_path, capsys):
+        d = 17
+        edges = [
+            (i, (i + s) % d, F((-1) ** i * (7919 * i * s % 10**9 + 1), self.PRIMES[(i + s) % 6]))
+            for s in (1, 3, 4)
+            for i in range(d)
+        ]
+        document, elapsed = self._report(tmp_path, capsys, build_wdg(d, edges, F(1, 2)))
+        assert document["delta"] == (
+            "10265597799476272434426853907772537840/1000292032458727685153601621373570283"
+        )
+        assert document["argmax"] == "+++--+-++++--+-+"
+        assert document["argmin"] == "++++--+-++++--+-"
+        assert elapsed < 2
+
+
 class TestHugeInputs:
     """Inputs whose exact expansion would take minutes are refused at once."""
 
@@ -95,6 +138,25 @@ class TestHugeInputs:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert elapsed < 1
+
+    @pytest.mark.parametrize("command", [["report"], ["eval", "+"]])
+    def test_too_many_digits_weight_exits_2(self, tmp_path, capsys, command):
+        path = self._graph_file(tmp_path, 2, [{"u": 0, "v": 1, "w": "1e4300"}])
+        code, captured, elapsed = self._run([command[0], path, *command[1:]], capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: w has a numerator or denominator of over 1000 digits\n"
+        assert elapsed < 1
+
+    @pytest.mark.parametrize(
+        "weight",
+        ["1e3", "3/4", "-0.25", "1e999", pytest.param("1/" + "9" * 1000, id="1/(10**1000-1)")],
+    )
+    def test_modest_weights_parse(self, tmp_path, capsys, weight):
+        path = self._graph_file(tmp_path, 2, [{"u": 0, "v": 1, "w": weight}])
+        code, captured, _ = self._run(["report", path], capsys)
+        assert code == 0
+        assert json.loads(captured.out)["exact"] is True
 
     def test_huge_exponent_epsilon_exits_2(self, tmp_path, capsys):
         spec = PartialFunctionSpec(dimension=3, points=(((1, 1), 1),), epsilon=0)

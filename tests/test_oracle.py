@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
 from wdglab import (
@@ -16,10 +19,12 @@ from wdglab import (
     iter_values,
     l1_norm,
     normalize_range,
+    oracle,
     range_check,
     support_classes,
     vertex_weight_bound,
 )
+from conftest import make_random_wdg
 
 F = Fraction
 
@@ -82,12 +87,119 @@ class TestExtrema:
             for x, g in iter_values(wdg):
                 assert g == evaluate(wdg, x)
 
-    def test_partitioned_scan_identical(self, rng, random_wdg):
-        for _ in range(12):
-            wdg = random_wdg(rng, rng.randint(2, 9), edge_probability=0.4)
-            single = extrema(wdg)
-            for block_bits in (1, 2, 3):
-                assert extrema(wdg, block_bits=block_bits) == single
+    def test_vector_width_invariance(self, rng, random_wdg, monkeypatch):
+        graphs = []
+        for _ in range(10):
+            wdg = random_wdg(rng, rng.randint(1, 9), edge_probability=0.4)
+            graphs += [wdg, large_denominators(rng, wdg)]
+        expected = [extrema(wdg) for wdg in graphs]
+        for bits in (0, 1, 2, 3):
+            monkeypatch.setattr(oracle, "_INT64_BITS", bits)
+            monkeypatch.setattr(oracle, "_OBJECT_BITS", bits)
+            assert [extrema(wdg) for wdg in graphs] == expected
+
+
+_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+
+
+def large_denominators(rng, wdg):
+    """The same edges with weights whose common denominator passes 2**63."""
+    edges = [
+        (e.u, e.v, F(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.choice(_PRIMES)))
+        for e in wdg.edges
+    ]
+    return build_wdg(wdg.dimension, edges, wdg.shift)
+
+
+def reference_extrema(wdg):
+    """(max, argmax, min, argmin) by a Python-int Gray-code walk of the cube.
+
+    This is the scan the numpy kernel replaced: each step flips one
+    coordinate and updates g with one multiply-add per incident edge.
+    """
+    denom = lcm(*(e.weight.denominator for e in wdg.edges))
+    adj = [[] for _ in range(wdg.dimension)]
+    g = 0
+    for e in wdg.edges:
+        w = int(e.weight * denom)
+        adj[e.u].append((e.v, w))
+        adj[e.v].append((e.u, w))
+        g += w
+    x = [1] * wdg.dimension
+    best = worst = g
+    arg_best = arg_worst = tuple(x[1:])
+    for i in range(1, 1 << wdg.num_variables):
+        v = (i & -i).bit_length()  # Gray code flips coordinate trailing_zeros(i)+1
+        s = 0
+        for u, w in adj[v]:
+            s += w * x[u]
+        g -= 2 * s * x[v]
+        x[v] = -x[v]
+        if g > best:
+            best, arg_best = g, tuple(x[1:])
+        elif g == best:
+            arg_best = min(arg_best, tuple(x[1:]))
+        if g < worst:
+            worst, arg_worst = g, tuple(x[1:])
+        elif g == worst:
+            arg_worst = min(arg_worst, tuple(x[1:]))
+    return F(best, denom), arg_best, F(worst, denom), arg_worst
+
+
+def naive_extrema(wdg):
+    """(max, argmax, min, argmin) from evaluate at every point, in lexicographic
+    order, so max/min return the smallest witness."""
+    values = [(evaluate(wdg, x), x) for x in all_assignments(wdg.num_variables)]
+    top = max(values, key=lambda pair: pair[0])
+    bottom = min(values, key=lambda pair: pair[0])
+    return top[0], top[1], bottom[0], bottom[1]
+
+
+def int64_boundary_graph(l1):
+    """A 14-variable graph of integer weights whose l1 norm is exactly ``l1``."""
+    pairs = [(0, k) for k in range(1, 15, 3)] + [(k, k % 14 + 1) for k in range(1, 15)]
+    weights = [(l1 // len(pairs)) * (-1) ** k for k in range(len(pairs))]
+    weights[0] += l1 - sum(abs(w) for w in weights)
+    return build_wdg(15, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
+def kernel_cases():
+    """Random graphs of both dtypes for n = 0..14, graphs on either side of
+    the int64 bound, and graphs whose extrema are heavily tied."""
+    rng = random.Random(4004)
+    cases = []
+    for n in range(15):
+        wdg = make_random_wdg(rng, n + 1, edge_probability=0.5)
+        cases += [wdg, large_denominators(rng, wdg)]
+    cases += [int64_boundary_graph((1 << 61) - 1), int64_boundary_graph(1 << 61)]
+    cases += [build_wdg(n + 1, []) for n in (0, 5, 14)]
+    cases.append(star(14))
+    cases.append(build_wdg(15, [(1, j, 1) for j in range(2, 15)]))  # hub star
+    for offsets, weight in (((1,), 1), ((1, 3), -1), ((2, 5), F(1, 3))):
+        circulant = [(i, (i + s - 1) % 14 + 1, weight) for s in offsets for i in range(1, 15)]
+        cases.append(build_wdg(15, circulant))
+    return cases
+
+
+class TestScanKernel:
+    def test_dtype_at_int64_bound(self):
+        assert oracle._block_layout((1 << 61) - 1)[0] is np.int64
+        assert oracle._block_layout(1 << 61)[0] is object
+        below, above = int64_boundary_graph((1 << 61) - 1), int64_boundary_graph(1 << 61)
+        assert l1_norm(below) == (1 << 61) - 1 and l1_norm(above) == 1 << 61
+
+    @pytest.mark.parametrize("bits", [None, (2, 3)])
+    def test_matches_reference_and_naive(self, monkeypatch, bits):
+        if bits is not None:
+            monkeypatch.setattr(oracle, "_INT64_BITS", bits[0])
+            monkeypatch.setattr(oracle, "_OBJECT_BITS", bits[1])
+        for wdg in kernel_cases():
+            report = extrema(wdg)
+            scanned = (report.max, report.argmax, report.min, report.argmin)
+            assert scanned == reference_extrema(wdg)
+            # Fraction evaluation at every point is slow; the reference covers n > 9
+            if wdg.num_variables <= 9:
+                assert scanned == naive_extrema(wdg)
 
 
 class TestVertexWeightBound:
