@@ -32,6 +32,11 @@ from typing import Mapping, Sequence
 from .core import WDG, Assignment, build_wdg
 from .errors import BadIndexError, LimitExceededError, SizeBudgetExceededError
 
+# Cap on |domain|**2 * 2**arity, which bounds the domain scans of
+# certificate_complexity: every point may try every subset, and each try
+# may scan the domain.  The 4-bit AND table (16 points, arity 16) needs 2**24.
+CERTIFICATE_BUDGET = 1 << 26
+
 
 def _check_bits(bits: Sequence[int]) -> tuple:
     vals = tuple(bits)
@@ -154,11 +159,18 @@ def certificate_complexity(f: PartialBooleanFunction) -> CertificateComplexity:
 
     A subset certifies x when every domain point agreeing with x on it
     has the same value.  c0/c1 maximize over 0-/1-inputs (0 when the
-    class is empty); c = max(c0, c1).
+    class is empty); c = max(c0, c1).  Raises SizeBudgetExceededError
+    before searching when |domain|**2 * 2**arity exceeds CERTIFICATE_BUDGET.
     """
     if f.arity > 20:
         raise LimitExceededError(f"arity {f.arity} exceeds the brute-force limit 20")
     domain = list(f.table.items())
+    work = len(domain) ** 2 << f.arity
+    if work > CERTIFICATE_BUDGET:
+        raise SizeBudgetExceededError(
+            f"certificate search over {len(domain)} points of arity {f.arity} "
+            f"may take {work} steps (budget {CERTIFICATE_BUDGET})"
+        )
     worst = {0: 0, 1: 0}
     indices = range(f.arity)
     for x, value in domain:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .boolfn import PartialBooleanFunction
@@ -27,12 +28,24 @@ from .optimize import OptimizationResult, PartialFunctionSpec
 from .oracle import extrema
 
 FORMAT_VERSION = 1
-# Cap on the bit length of a parsed numerator or denominator.  Every int of
-# at most 1000 digits is below 2**3322, and every int past it has over 1000.
-# Reports print squares of sums, like (l1 + |shift|)**2, and Python refuses
-# to print an int of more than 4300 digits; for two 1000-digit terms that
-# square has about 4000.
+# Cap on the bit length of a parsed numerator or denominator, and of the
+# common denominator of a graph's weights and shift.  Every int of at most
+# 1000 digits is below 2**3322, and every int past it has over 1000.
+# Python refuses to print an int of more than 4300 digits.  A sum of m
+# values over a common denominator D has a numerator below m * 2**3322 * D,
+# so the square that reports print, (l1 + |shift|)**2, has a numerator of
+# about 4000 + 2 * log10(m) digits and a denominator of at most 2000.
 MAX_RATIONAL_BITS = 3322
+# Longest echo of raw input in an error message.
+MAX_ECHO = 80
+
+
+def _echo(value) -> str:
+    """repr(value), cut to MAX_ECHO characters so an error stays one short line."""
+    text = repr(value)
+    if len(text) <= MAX_ECHO:
+        return text
+    return f"{text[:MAX_ECHO]}... ({len(text)} characters)"
 
 
 def _dump(document: dict) -> str:
@@ -54,11 +67,11 @@ def _expect_keys(document: dict, keys: tuple) -> None:
     missing = set(keys) - set(document)
     if extra or missing:
         raise DocumentError(
-            f"document keys {sorted(document)} do not match expected {list(keys)}"
+            f"document keys {_echo(sorted(document))} do not match expected {list(keys)}"
         )
     if document["format_version"] != FORMAT_VERSION:
         raise DocumentError(
-            f"unsupported format_version {document['format_version']!r}"
+            f"unsupported format_version {_echo(document['format_version'])}"
         )
 
 
@@ -67,17 +80,17 @@ def _rational_field(value: Union[str, int], field: str) -> Fraction:
         try:
             rational = as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{field} is not a rational: {value!r}") from exc
+            raise DocumentError(f"{field} is not a rational: {_echo(value)}") from exc
         bits = max(rational.numerator.bit_length(), rational.denominator.bit_length())
         if bits > MAX_RATIONAL_BITS:
             raise DocumentError(f"{field} has a numerator or denominator of over 1000 digits")
         return rational
-    raise DocumentError(f"{field} must be a rational string, got {value!r}")
+    raise DocumentError(f"{field} must be a rational string, got {_echo(value)}")
 
 
 def _int_field(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{field} must be an integer, got {value!r}")
+        raise DocumentError(f"{field} must be an integer, got {_echo(value)}")
     return value
 
 
@@ -106,7 +119,7 @@ def parse_wdg_document(text: str) -> WDG:
     edges = []
     for entry in document["edges"]:
         if not isinstance(entry, dict) or set(entry) != {"u", "v", "w"}:
-            raise DocumentError(f"bad edge entry {entry!r}")
+            raise DocumentError(f"bad edge entry {_echo(entry)}")
         edges.append(
             (
                 _int_field(entry["u"], "u"),
@@ -114,6 +127,13 @@ def parse_wdg_document(text: str) -> WDG:
                 _rational_field(entry["w"], "w"),
             )
         )
+    denominator = 1
+    for value in {shift.denominator, *(w.denominator for _, _, w in edges)}:
+        denominator = lcm(denominator, value)
+        if denominator.bit_length() > MAX_RATIONAL_BITS:
+            raise DocumentError(
+                "the weights and shift have a common denominator of over 1000 digits"
+            )
     try:
         return build_wdg(dimension, edges, shift)
     except WdgError as exc:
@@ -126,17 +146,17 @@ def _parse_points(entries, length: int) -> list:
     points = []
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"input", "value"}:
-            raise DocumentError(f"bad point entry {entry!r}")
+            raise DocumentError(f"bad point entry {_echo(entry)}")
         if not isinstance(entry["input"], str):
             raise DocumentError("point input must be a string of '+'/'-' characters")
         x = parse_assignment(entry["input"])
         if len(x) != length:
             raise DocumentError(
-                f"point {entry['input']!r} has length {len(x)}, expected {length}"
+                f"point {_echo(entry['input'])} has length {len(x)}, expected {length}"
             )
         value = entry["value"]
         if type(value) is not int or value not in (0, 1):
-            raise DocumentError(f"point value must be 0 or 1, got {value!r}")
+            raise DocumentError(f"point value must be 0 or 1, got {_echo(value)}")
         points.append((x, value))
     return points
 

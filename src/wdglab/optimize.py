@@ -16,18 +16,23 @@ ratio (maximize_l1), or those divided by the ratio, with objective =
 1/ratio (minimize_delta).  Both forms rank candidates alike, because the
 exact check is scale-invariant and a < b exactly when 1/a > 1/b for a, b > 0.
 
-Search runs in floating point; every reported solution is snapped to
-small-denominator rationals, rescaled exactly, and re-verified against
-the exact hypercube oracle.  A result is only ever returned with its
-constraints holding exactly in rational arithmetic, so no acceptance
-anywhere depends on float tolerances.  Results are deterministic per
-(spec, template, budget, seed).
+Search runs in floating point; every candidate is snapped to
+small-denominator rationals and checked exactly on its weights scaled
+to their common denominator: one integer cube scan gives the spread,
+and integer dot products give the graph value at the target points.
+The returned result is re-verified independently in Fraction
+arithmetic through the oracle's ``extrema`` and ``evaluate``.  A result
+is only ever returned with its constraints holding exactly in rational
+arithmetic, so no acceptance anywhere depends on float tolerances.
+Results are deterministic per (spec, template, budget, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,7 +51,7 @@ from .errors import (
     InfeasibleError,
     LimitExceededError,
 )
-from .oracle import approximation_error, delta_exact, extrema
+from .oracle import approximation_error, delta_exact, extrema, scan_cube
 
 MAXIMIZE = "maximize_l1"
 MINIMIZE = "minimize_delta"
@@ -159,31 +164,42 @@ class _Candidate:
     c: Fraction
 
 
-def _exact_candidate(spec: PartialFunctionSpec, pairs, weights) -> Optional[_Candidate]:
+def _exact_candidate(
+    spec: PartialFunctionSpec, pairs, weights, sign_points: np.ndarray
+) -> Optional[_Candidate]:
     """Exactly rescale weights to unit spread and check the epsilon band.
 
     Returns None when the candidate is degenerate or misses the epsilon
     band; otherwise the unit-spread weights, the exact ratio and the
     optimal constant C.  Nothing here depends on the scale of ``weights``.
+
+    The weights are scaled to integers by their common denominator D,
+    so one cube scan gives D * spread and the rows of ``sign_points``
+    give D * g at the target points; every test below is on integers.
     """
-    edges = [(u, v, w) for (u, v), w in zip(pairs, weights) if w != 0]
-    if not edges:
-        return None
-    raw = build_wdg(spec.dimension, edges)
-    report = extrema(raw)
-    delta = report.delta
-    if delta == 0:
+    denom = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (denom // w.denominator) for w in weights]
+    l1 = sum(map(abs, ints))
+    int_edges = [(u, v, w) for (u, v), w in zip(pairs, ints)]
+    best, _, worst, _ = scan_cube(spec.dimension - 1, int_edges, l1)
+    spread = best - worst
+    if spread == 0:  # only all-zero weights leave g constant
         return None
     if spec.points:
-        values = [t - evaluate(raw, x) / delta for x, t in spec.points]
-        lo, hi = min(values), max(values)
-        if hi - lo > 2 * spec.epsilon:
+        # spread * (t - g(x) / delta) for the true spread delta = spread / D
+        gaps = [
+            t * spread - sum(map(mul, row, ints))
+            for (_, t), row in zip(spec.points, sign_points.tolist())
+        ]
+        lo, hi = min(gaps), max(gaps)
+        epsilon = spec.epsilon
+        if (hi - lo) * epsilon.denominator > 2 * epsilon.numerator * spread:
             return None
-        c = (hi + lo) / 2
+        c = Fraction(hi + lo, 2 * spread)
     else:
-        c = -report.min / delta
+        c = Fraction(-worst, spread)
     return _Candidate(
-        ratio=l1_norm(raw) / delta, weights=tuple(w / delta for w in weights), c=c
+        ratio=Fraction(l1, spread), weights=tuple(Fraction(w, spread) for w in ints), c=c
     )
 
 
@@ -212,7 +228,9 @@ _POLISH_FACTORS = (
 )
 
 
-def _polish(spec: PartialFunctionSpec, pairs, candidate: _Candidate) -> _Candidate:
+def _polish(
+    spec: PartialFunctionSpec, pairs, candidate: _Candidate, sign_points: np.ndarray
+) -> _Candidate:
     """Coordinate descent with the sign pattern frozen: rescale one weight
     at a time by fixed rational factors, keeping exact-feasible improvements."""
     best = candidate
@@ -224,7 +242,7 @@ def _polish(spec: PartialFunctionSpec, pairs, candidate: _Candidate) -> _Candida
             for factor in _POLISH_FACTORS:
                 trial = list(best.weights)
                 trial[i] *= factor
-                result = _exact_candidate(spec, pairs, trial)
+                result = _exact_candidate(spec, pairs, trial, sign_points)
                 if result is not None and result.ratio > best.ratio:
                     best = result
                     improved = True
@@ -285,7 +303,7 @@ def _anneal_chain(
 
     def consider(weights) -> None:
         nonlocal best_exact
-        candidate = _exact_candidate(spec, pairs, weights)
+        candidate = _exact_candidate(spec, pairs, weights, sign_points)
         if candidate is not None and (best_exact is None or candidate.ratio > best_exact.ratio):
             best_exact = candidate
 
@@ -338,7 +356,7 @@ def _anneal_chain(
             last_snapped_score = best_float_score
     try_snap(best_float)
     if best_exact is not None:
-        best_exact = _polish(spec, pairs, best_exact)
+        best_exact = _polish(spec, pairs, best_exact, sign_points)
     return best_exact, iterations
 
 

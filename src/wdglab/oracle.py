@@ -143,11 +143,13 @@ def _block_layout(l1: int):
     return object, _OBJECT_BITS
 
 
-def _scan_cube(n: int, int_edges, l1: int):
-    """Exact extrema of the scaled-integer graph value over the cube.
+def scan_cube(n: int, int_edges, l1: int):
+    """Exact extrema of a scaled-integer graph value over the n-cube.
 
-    ``l1`` is the sum of |w| over ``int_edges``.  Returns (max, argmax,
-    min, argmin) with the values as scaled ints.
+    ``int_edges`` are (u, v, w) with 0 <= u < v <= n, no vertex pair
+    twice and int weights (zeros allowed); ``l1`` is the sum of |w|.
+    Returns (max, argmax, min, argmin): the values as ints and the
+    witnesses as the lexicographically smallest assignments.
     """
     dtype, bits = _block_layout(l1)
     low = min(n, bits)
@@ -247,7 +249,7 @@ def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
             lower_bound=lower,
             upper_bound=upper,
         )
-    best, arg_best, worst, arg_worst = _scan_cube(wdg.num_variables, int_edges, l1)
+    best, arg_best, worst, arg_worst = scan_cube(wdg.num_variables, int_edges, l1)
     gmax = Fraction(best, denom)
     gmin = Fraction(worst, denom)
     return ExtremaReport(

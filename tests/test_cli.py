@@ -1,10 +1,11 @@
+import itertools
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from wdglab import PartialFunctionSpec, and_family_table, build_wdg
+from wdglab import PartialBooleanFunction, PartialFunctionSpec, and_family_table, build_wdg
 from wdglab.cli import main
 from wdglab.documents import (
     parse_wdg_document,
@@ -157,6 +158,47 @@ class TestHugeInputs:
         code, captured, _ = self._run(["report", path], capsys)
         assert code == 0
         assert json.loads(captured.out)["exact"] is True
+
+    @pytest.mark.parametrize("command", [["report"], ["eval", "+++++"]])
+    def test_huge_common_denominator_exits_2(self, tmp_path, capsys, command):
+        # each weight passes the per-value cap, but their lcm has 4500 digits
+        edges = [
+            {"u": 0, "v": j, "w": f"1/{10**900 + k}"}
+            for j, k in enumerate((1, 3, 7, 9, 13), start=1)
+        ]
+        path = self._graph_file(tmp_path, 6, edges)
+        code, captured, elapsed = self._run([command[0], path, *command[1:]], capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the weights and shift have a common denominator of over 1000 digits\n"
+        )
+        assert elapsed < 1
+
+    def test_many_modest_denominators_parse(self, tmp_path, capsys):
+        primes = [p for p in range(10**6, 10**6 + 200) if all(p % q for q in range(2, 1001))]
+        edges = [{"u": 0, "v": j, "w": f"{j}/{p}"} for j, p in enumerate(primes[:12], start=1)]
+        path = self._graph_file(tmp_path, 13, edges)
+        code, captured, _ = self._run(["report", path], capsys)
+        assert code == 0
+        assert json.loads(captured.out)["exact"] is True
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"u": 0, "v": 1, "w": "x" * 200_000},
+            {"u": 0, "v": 1, "w": "1", "note": "x" * 200_000},
+            {"u": 0, "v": 1, "w": ["1"] * 50_000},
+        ],
+        ids=["huge-weight", "huge-extra-key", "huge-list-weight"],
+    )
+    def test_error_line_stays_short(self, tmp_path, capsys, edge):
+        path = self._graph_file(tmp_path, 2, [edge])
+        code, captured, _ = self._run(["report", path], capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err) < 200
 
     def test_huge_exponent_epsilon_exits_2(self, tmp_path, capsys):
         spec = PartialFunctionSpec(dimension=3, points=(((1, 1), 1),), epsilon=0)
@@ -324,6 +366,19 @@ class TestCertificate:
         path.write_text(serialize_function_table(and_family_table(3)))
         assert main(["certificate", str(path)]) == 0
         assert capsys.readouterr().out == "c0 = 1\nc1 = 3\nc = 3\n"
+
+    def test_large_table_exits_3(self, tmp_path, capsys):
+        # 1024 points of arity 16: 2**36 worst-case steps, refused before the search
+        points = itertools.islice(itertools.product((-1, 1), repeat=16), 1024)
+        table = PartialBooleanFunction(arity=16, table={x: sum(x) % 4 // 2 for x in points})
+        path = tmp_path / "table.json"
+        path.write_text(serialize_function_table(table))
+        start = time.perf_counter()
+        assert main(["certificate", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestCsopOrder:

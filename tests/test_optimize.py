@@ -1,10 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from wdglab import (
     BadIndexError,
-    evaluate,
     EmptyTemplateError,
     DegenerateGraphError,
     InfeasibleError,
@@ -15,6 +16,7 @@ from wdglab import (
     build_wdg,
     delta_exact,
     evaluate,
+    extrema,
     full_template,
     l1_norm,
     maximize_l1,
@@ -23,6 +25,7 @@ from wdglab import (
     uniform_heuristic,
     vertex_weight_bound,
 )
+from wdglab.optimize import _Candidate, _exact_candidate, _sign_columns
 
 F = Fraction
 
@@ -224,3 +227,110 @@ class TestDuality:
         )
         with pytest.raises(DegenerateGraphError):
             min_to_max(empty)
+
+
+def reference_exact_candidate(spec, pairs, weights):
+    """The exact check in Fraction arithmetic: delta from extrema, and g at
+    the target points from evaluate on the built graph."""
+    edges = [(u, v, w) for (u, v), w in zip(pairs, weights) if w != 0]
+    if not edges:
+        return None
+    raw = build_wdg(spec.dimension, edges)
+    report = extrema(raw)
+    delta = report.delta
+    if delta == 0:
+        return None
+    if spec.points:
+        values = [t - evaluate(raw, x) / delta for x, t in spec.points]
+        lo, hi = min(values), max(values)
+        if hi - lo > 2 * spec.epsilon:
+            return None
+        c = (hi + lo) / 2
+    else:
+        c = -report.min / delta
+    return _Candidate(
+        ratio=l1_norm(raw) / delta, weights=tuple(w / delta for w in weights), c=c
+    )
+
+
+# 2**61 - 1 and three primes near 10**9: any three of them push the common
+# denominator, and so 4 * sum|w_int|, past 2**63
+BIG_DENOMINATORS = ((1 << 61) - 1, 10**9 + 7, 10**9 + 9, 998244353)
+EPSILONS = (F(0), F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(1))
+
+
+class TestExactCandidate:
+    """The scaled-integer check returns what the Fraction check returns."""
+
+    def _check(self, spec, pairs, weights):
+        sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
+        candidate = _exact_candidate(spec, pairs, weights, sign_points)
+        assert candidate == reference_exact_candidate(spec, pairs, weights)
+        return candidate
+
+    def _random_case(self, rng):
+        dimension = rng.randint(2, 6)
+        template = full_template(dimension)
+        pairs = sorted(rng.sample(template, rng.randint(1, len(template))))
+        big = rng.random() < 0.3
+        weights = []
+        for _ in pairs:
+            if rng.random() < 0.2:
+                weights.append(F(0))
+            elif big:
+                weights.append(F(rng.randint(-9, 9), rng.choice(BIG_DENOMINATORS)))
+            else:
+                weights.append(F(rng.randint(-9, 9), rng.randint(1, 12)))
+        cube = [tuple(rng.choice((-1, 1)) for _ in range(dimension - 1)) for _ in range(6)]
+        points = {(x, rng.randint(0, 1)) for x in cube[: rng.randint(0, 6)]}
+        if rng.random() < 0.3 and any(weights):
+            # targets at the extrema make epsilon = 0 feasible, with no slack
+            raw = build_wdg(dimension, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+            report = extrema(raw)
+            points = {(report.argmax, 1), (report.argmin, 0)}
+        spec = PartialFunctionSpec(
+            dimension=dimension, points=tuple(sorted(points)), epsilon=rng.choice(EPSILONS)
+        )
+        return spec, pairs, weights
+
+    def test_matches_reference_on_random_candidates(self):
+        rng = random.Random(5)
+        outcomes = {"none": 0, "feasible": 0, "past_int64": 0}
+        for _ in range(300):
+            spec, pairs, weights = self._random_case(rng)
+            candidate = self._check(spec, pairs, weights)
+            outcomes["none" if candidate is None else "feasible"] += 1
+            common = math.lcm(*(w.denominator for w in weights))
+            if 4 * sum(map(abs, weights)) * common >= 1 << 63:
+                outcomes["past_int64"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_zero_weights(self):
+        spec = PartialFunctionSpec(dimension=4, points=(((1, -1, 1), 1),), epsilon=0)
+        pairs = full_template(4)
+        assert self._check(spec, pairs, [F(0)] * len(pairs)) is None
+        weights = [F(0), F(1, 3), F(0), F(-2, 5), F(0), F(0)]
+        candidate = self._check(spec, pairs, weights)
+        assert candidate.weights[0] == 0 and candidate.weights[1] > 0
+
+    def test_empty_target(self):
+        spec = PartialFunctionSpec(dimension=3, points=(), epsilon=0)
+        candidate = self._check(spec, full_template(3), [F(1, 2), F(-1, 3), F(1, 6)])
+        assert candidate.c == F(3, 5)
+
+    def test_contradictory_pair_at_half(self):
+        # the two gaps differ by exactly the spread: the band holds with equality
+        points = (((1, -1), 0), ((1, -1), 1))
+        pairs = full_template(3)
+        weights = [F(1, 7), F(2, 9), F(-1, 4)]
+        spec = PartialFunctionSpec(dimension=3, points=points, epsilon=F(1, 2))
+        assert self._check(spec, pairs, weights) is not None
+        tighter = PartialFunctionSpec(dimension=3, points=points, epsilon=F(1, 2) - F(1, 10**30))
+        assert self._check(tighter, pairs, weights) is None
+
+    def test_denominators_past_int64(self):
+        spec = PartialFunctionSpec(dimension=5, points=(((1, 1, -1, 1), 1),), epsilon=0)
+        pairs = full_template(5)
+        weights = [F(k - 5, BIG_DENOMINATORS[k % 4] * (k + 1)) for k in range(len(pairs))]
+        candidate = self._check(spec, pairs, weights)
+        assert sum(map(abs, candidate.weights)) == candidate.ratio
