@@ -77,19 +77,22 @@ def cmd_compose(args) -> int:
     a = _read_wdg(args.file_a)
     b = _read_wdg(args.file_b)
     result = compose_graphs(args.mode, a, b, entry_budget=args.entry_budget)
+    text = serialize_wdg(result.wdg)
     print(f"predicted_l1 = {format_rational(result.predicted_l1)}")
     print(f"actual_l1 = {format_rational(l1_norm(result.wdg))}")
-    Path(args.out).write_text(serialize_wdg(result.wdg))
+    Path(args.out).write_text(text)
     return EXIT_OK
 
 
 def cmd_iterate(args) -> int:
     base = _read_wdg(args.file)
     stages = iterate_compose(base, args.depth, args.mode, entry_budget=args.entry_budget)
+    # a stage that cannot be written stops the command before any output
+    texts = [serialize_wdg(stage.wdg) for stage in stages]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, stage in enumerate(stages, start=1):
-        (out_dir / f"stage_{i}.json").write_text(serialize_wdg(stage.wdg))
+    for i, (stage, text) in enumerate(zip(stages, texts), start=1):
+        (out_dir / f"stage_{i}.json").write_text(text)
         print(f"stage {i}: l1 = {format_rational(stage.predicted_l1)}")
     return EXIT_OK
 

@@ -29,8 +29,11 @@ straight into one edge list, with coefficients
     diagonal x right edge  K/n          (1-K)/n
 
 for factor dimensions n and m, instead of summing dense Kronecker
-matrices.  ``build_wdg`` guards the argument: it raises
-DuplicateEdgeError if two contributions ever land on one vertex pair.
+matrices.  The weights are built as integers over one common
+denominator, keyed by composite vertex pair, and that keyed builder
+guards the argument: it raises DuplicateEdgeError if two contributions
+ever land on one vertex pair.  ``build_wdg`` is not run on the result;
+the builder drops zero weights and orders the edges itself.
 """
 
 from __future__ import annotations
@@ -38,13 +41,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import WDG, Assignment, RationalLike, as_rational, build_wdg, l1_norm
-from .errors import SizeBudgetExceededError, WdgError
+from .core import (
+    WDG,
+    Assignment,
+    Edge,
+    RationalLike,
+    as_rational,
+    l1_norm,
+    scale_to_integers,
+    scaled_edges,
+)
+from .errors import DuplicateEdgeError, SizeBudgetExceededError, WdgError, clip
 
 AND = "and"
 OR = "or"
 
 DEFAULT_ENTRY_BUDGET = 1 << 20  # max associated-matrix entries of one composite
+MAX_COUNT = 12  # longest entry count an error message prints in full
 
 
 @dataclass(frozen=True)
@@ -93,27 +106,71 @@ def _build(
     right edge (p, q, w') put ``pair * w * w'`` on {(u,p), (v,q)} and on
     {(u,q), (v,p)}; a left edge puts ``left * w`` on {(u,j), (v,j)} for
     every j; a right edge puts ``right * w'`` on {(i,p), (i,q)} for every i.
+
+    Everything runs on integers: the factor weights are a / D1 and b / D2,
+    the roles become int multipliers P, L and R over one denominator D,
+    and the composite weights are P*a*b, L*a and R*b over D.  The weight
+    of composite pair (x, y) is stored under the key x * n*m + y; factor
+    edges have u < v, so every composite pair has x < y.
     """
     n, m = d1.dimension, d2.dimension
-    edges = []
-    for a in d1.edges:
-        u, v = a.u * m, a.v * m
-        for b in d2.edges:
-            w = pair * a.weight * b.weight
-            edges.append((u + b.u, v + b.v, w))
-            edges.append((u + b.v, v + b.u, w))
-        w = left * a.weight
-        edges.extend((u + j, v + j, w) for j in range(m))
-    for b in d2.edges:
-        w = right * b.weight
-        edges.extend((i * m + b.u, i * m + b.v, w) for i in range(n))
-    wdg = build_wdg(n * m, edges, shift)
-    expected = predicted_l1(mode, l1_norm(d1), d1.shift, l1_norm(d2), d2.shift)
-    actual = l1_norm(wdg)
+    size = n * m
+    den1, ints1 = scaled_edges(d1)
+    den2, ints2 = scaled_edges(d2)
+    den, (pair_int, left_int, right_int) = scale_to_integers(
+        (pair / (den1 * den2), left / den1, right / den2)
+    )
+    # a zero role multiplier or factor weight contributes only zero weights,
+    # which are dropped as build_wdg drops them
+    ints1 = [e for e in ints1 if e[2]]
+    ints2 = [e for e in ints2 if e[2]]
+
+    def runs():
+        """(keys, weights) for each run of writes; ``weights`` is a list."""
+        keys_pq = [p * size + q for p, q, _ in ints2]
+        keys_qp = [q * size + p for p, q, _ in ints2]
+        weights2 = [b for _, _, b in ints2]
+        step = size + 1  # key of (x + j, y + j) minus key of (x, y), per j
+        for u, v, a in ints1:
+            base = (u * size + v) * m  # key of (u * m, v * m)
+            pair_weights = [pair_int * a * b for b in weights2]
+            yield map(base.__add__, keys_pq), pair_weights
+            yield map(base.__add__, keys_qp), pair_weights
+            if left_int:
+                yield range(base, base + m * step, step), [left_int * a] * m
+        if right_int:
+            for (_, _, b), key in zip(ints2, keys_pq):
+                yield range(key, key + n * m * step, m * step), [right_int * b] * n
+
+    weights = {}
+    writes = 0
+    for keys, values in runs():
+        weights.update(zip(keys, values))
+        writes += len(values)
+    if len(weights) != writes:
+        seen = set()
+        for keys, _ in runs():
+            for key in keys:
+                if key in seen:
+                    raise DuplicateEdgeError(f"duplicate edge {divmod(key, size)}")
+                seen.add(key)
+    expected = predicted_l1(
+        mode,
+        Fraction(sum(abs(a) for _, _, a in ints1), den1),
+        d1.shift,
+        Fraction(sum(abs(b) for _, _, b in ints2), den2),
+        d2.shift,
+    )
+    actual = Fraction(sum(map(abs, weights.values())), den)
     if actual != expected:
         raise WdgError(
             f"composed L1 {actual} does not match the closed form {expected}"
         )
+    rationals = {w: Fraction(w, den) for w in set(weights.values())}
+    edges = tuple(
+        Edge(*divmod(key, size), rationals[weights[key]]) for key in sorted(weights)
+    )
+    wdg = WDG(dimension=size, edges=edges, shift=shift)
     return ComposedResult(wdg=wdg, shift=shift, predicted_l1=expected, mode=mode)
 
 
@@ -151,7 +208,8 @@ def compose(
     size = (d1.dimension * d2.dimension) ** 2
     if size > entry_budget:
         raise SizeBudgetExceededError(
-            f"composed matrix would have {size} entries (budget {entry_budget})"
+            f"composed matrix would have {clip(str(size), MAX_COUNT)} entries "
+            f"(budget {clip(str(entry_budget), MAX_COUNT)})"
         )
     return compose_and(d1, d2) if mode == AND else compose_or(d1, d2)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -51,6 +52,8 @@ def as_rational(value: RationalLike) -> Fraction:
     Floats are rejected: they would silently import binary rounding into
     paths that must stay exact.
     """
+    if type(value) is Fraction:  # immutable, so it can be shared as is
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (int, Fraction)):
@@ -237,6 +240,21 @@ def evaluate(wdg: WDG, x: Sequence[int]) -> Fraction:
 def f_value(wdg: WDG, x: Sequence[int]) -> Fraction:
     """The computed function f(x) = g(x) + shift, exactly."""
     return evaluate(wdg, x) + wdg.shift
+
+
+def scale_to_integers(values: Sequence[Fraction]) -> tuple:
+    """(D, [v * D for v in values]) for the common denominator D of ``values``.
+
+    D is 1 when ``values`` is empty.
+    """
+    denom = lcm(*(v.denominator for v in values))
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
+def scaled_edges(wdg: WDG) -> tuple:
+    """(D, [(u, v, w * D)]): the edges scaled to their common denominator D."""
+    denom, ints = scale_to_integers([e.weight for e in wdg.edges])
+    return denom, [(e.u, e.v, w) for e, w in zip(wdg.edges, ints)]
 
 
 def l1_norm(wdg: WDG) -> Fraction:

@@ -23,7 +23,7 @@ from .core import (
     format_rational,
     parse_assignment,
 )
-from .errors import DocumentError, WdgError
+from .errors import DocumentError, SizeBudgetExceededError, WdgError, clip
 from .optimize import OptimizationResult, PartialFunctionSpec
 from .oracle import extrema
 
@@ -38,14 +38,12 @@ FORMAT_VERSION = 1
 MAX_RATIONAL_BITS = 3322
 # Longest echo of raw input in an error message.
 MAX_ECHO = 80
+_EDGE_KEYS = {"u", "v", "w"}
 
 
 def _echo(value) -> str:
     """repr(value), cut to MAX_ECHO characters so an error stays one short line."""
-    text = repr(value)
-    if len(text) <= MAX_ECHO:
-        return text
-    return f"{text[:MAX_ECHO]}... ({len(text)} characters)"
+    return clip(repr(value), MAX_ECHO)
 
 
 def _dump(document: dict) -> str:
@@ -75,17 +73,39 @@ def _expect_keys(document: dict, keys: tuple) -> None:
         )
 
 
+def _check_bits(rational: Fraction, field: str) -> None:
+    bits = max(rational.numerator.bit_length(), rational.denominator.bit_length())
+    if bits > MAX_RATIONAL_BITS:
+        raise DocumentError(f"{field} has a numerator or denominator of over 1000 digits")
+
+
 def _rational_field(value: Union[str, int], field: str) -> Fraction:
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             rational = as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{field} is not a rational: {_echo(value)}") from exc
-        bits = max(rational.numerator.bit_length(), rational.denominator.bit_length())
-        if bits > MAX_RATIONAL_BITS:
-            raise DocumentError(f"{field} has a numerator or denominator of over 1000 digits")
+        _check_bits(rational, field)
         return rational
     raise DocumentError(f"{field} must be a rational string, got {_echo(value)}")
+
+
+def _check_graph_size(shift: Fraction, weights) -> None:
+    """Raise DocumentError unless the shift, each of ``weights`` and their
+    common denominator all fit in MAX_RATIONAL_BITS.
+
+    These are the caps every graph document must meet.  ``weights`` need
+    hold each distinct value only once.
+    """
+    _check_bits(shift, "shift")
+    denominator = shift.denominator
+    for weight in weights:
+        _check_bits(weight, "w")
+        denominator = lcm(denominator, weight.denominator)
+        if denominator.bit_length() > MAX_RATIONAL_BITS:
+            raise DocumentError(
+                "the weights and shift have a common denominator of over 1000 digits"
+            )
 
 
 def _int_field(value, field: str) -> int:
@@ -106,7 +126,37 @@ def _wdg_fields(wdg: WDG) -> dict:
 
 
 def serialize_wdg(wdg: WDG) -> str:
-    return _dump(_wdg_fields(wdg))
+    """The graph document, byte-identical to ``_dump(_wdg_fields(wdg))``.
+
+    Written one block per edge instead of through ``json.dumps(indent=2)``,
+    whose indentation forces the pure-Python encoder.  No value needs JSON
+    escaping: ints print as digits, and format_rational emits only
+    ``[-0-9/]``.  Raises SizeBudgetExceededError on a graph that
+    parse_wdg_document would refuse.
+    """
+    # each distinct weight object is checked and formatted once; keyed by
+    # id because Fraction hashing is slow, and a composite or a parsed graph
+    # shares one object per distinct value
+    weights = {id(e.weight): e.weight for e in wdg.edges}
+    try:
+        _check_graph_size(wdg.shift, weights.values())
+    except DocumentError as exc:
+        raise SizeBudgetExceededError(f"the graph cannot be written as a document: {exc}") from exc
+    texts = {key: format_rational(w) for key, w in weights.items()}
+    head = (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "dimension": {wdg.dimension},\n'
+        f'  "shift": "{format_rational(wdg.shift)}",\n  "edges": '
+    )
+    if not wdg.edges:
+        return head + "[]\n}\n"
+    body = ",\n".join(
+        [
+            f'    {{\n      "u": {e.u},\n      "v": {e.v},\n'
+            f'      "w": "{texts[id(e.weight)]}"\n    }}'
+            for e in wdg.edges
+        ]
+    )
+    return f"{head}[\n{body}\n  ]\n}}\n"
 
 
 def parse_wdg_document(text: str) -> WDG:
@@ -116,24 +166,23 @@ def parse_wdg_document(text: str) -> WDG:
     shift = _rational_field(document["shift"], "shift")
     if not isinstance(document["edges"], list):
         raise DocumentError("edges must be a list")
+    rationals = {}  # weight string -> its Fraction, read once per document
     edges = []
     for entry in document["edges"]:
-        if not isinstance(entry, dict) or set(entry) != {"u", "v", "w"}:
+        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise DocumentError(f"bad edge entry {_echo(entry)}")
-        edges.append(
-            (
-                _int_field(entry["u"], "u"),
-                _int_field(entry["v"], "v"),
-                _rational_field(entry["w"], "w"),
-            )
-        )
-    denominator = 1
-    for value in {shift.denominator, *(w.denominator for _, _, w in edges)}:
-        denominator = lcm(denominator, value)
-        if denominator.bit_length() > MAX_RATIONAL_BITS:
-            raise DocumentError(
-                "the weights and shift have a common denominator of over 1000 digits"
-            )
+        u = _int_field(entry["u"], "u")
+        v = _int_field(entry["v"], "v")
+        w = entry["w"]
+        if type(w) is not str:
+            # an int or an error; an int adds nothing to the common denominator
+            weight = _rational_field(w, "w")
+        else:
+            weight = rationals.get(w)
+            if weight is None:
+                weight = rationals[w] = _rational_field(w, "w")
+        edges.append((u, v, weight))
+    _check_graph_size(shift, rationals.values())
     try:
         return build_wdg(dimension, edges, shift)
     except WdgError as exc:

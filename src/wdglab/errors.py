@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a helper for their messages."""
+
+
+def clip(text: str, limit: int) -> str:
+    """``text`` cut to ``limit`` characters, so an error message stays one short line."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 class WdgError(Exception):
@@ -38,7 +45,8 @@ class DegenerateGraphError(WdgError):
 
 
 class SizeBudgetExceededError(WdgError):
-    """A composition stage would exceed the configured entry budget."""
+    """A composition stage would exceed the configured entry budget, or a
+    graph has values too large for a graph document."""
 
 
 class EmptyTemplateError(WdgError):

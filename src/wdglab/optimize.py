@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -44,6 +43,7 @@ from .core import (
     check_assignment,
     evaluate,
     l1_norm,
+    scale_to_integers,
 )
 from .errors import (
     DegenerateGraphError,
@@ -177,8 +177,7 @@ def _exact_candidate(
     so one cube scan gives D * spread and the rows of ``sign_points``
     give D * g at the target points; every test below is on integers.
     """
-    denom = lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (denom // w.denominator) for w in weights]
+    _, ints = scale_to_integers(weights)
     l1 = sum(map(abs, ints))
     int_edges = [(u, v, w) for (u, v), w in zip(pairs, ints)]
     best, _, worst, _ = scan_cube(spec.dimension - 1, int_edges, l1)

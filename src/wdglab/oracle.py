@@ -35,7 +35,6 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -49,6 +48,7 @@ from .core import (
     check_assignment,
     evaluate,
     l1_norm_with_shift,
+    scaled_edges,
 )
 from .errors import DegenerateGraphError, LimitExceededError
 
@@ -86,17 +86,6 @@ class SupportClasses:
 
     s_plus: frozenset
     s_minus: frozenset
-
-
-def _int_edges(wdg: WDG):
-    """Scale all weights to a common denominator; returns (denom, int edge list)."""
-    if not wdg.edges:
-        return 1, []
-    denom = lcm(*(e.weight.denominator for e in wdg.edges))
-    return denom, [
-        (e.u, e.v, e.weight.numerator * (denom // e.weight.denominator))
-        for e in wdg.edges
-    ]
 
 
 def _adjacency(dimension: int, int_edges) -> list:
@@ -228,7 +217,7 @@ def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
     Witnesses are canonical: the lexicographically smallest maximizer
     and minimizer under the ordering -1 < +1.
     """
-    denom, int_edges = _int_edges(wdg)
+    denom, int_edges = scaled_edges(wdg)
     l1 = 0
     incidence = defaultdict(int)
     for u, v, w in int_edges:
@@ -267,7 +256,7 @@ def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
 def iter_values(wdg: WDG) -> Iterator[tuple]:
     """Yield (assignment, g) for every cube point in Gray-code order."""
     n = wdg.num_variables
-    denom, int_edges = _int_edges(wdg)
+    denom, int_edges = scaled_edges(wdg)
     adj = _adjacency(wdg.dimension, int_edges)
     x = [1] * wdg.dimension
     g = sum(w for _, _, w in int_edges)

@@ -116,8 +116,8 @@ class TestScanSpeed:
 class TestHugeInputs:
     """Inputs whose exact expansion would take minutes are refused at once."""
 
-    def _graph_file(self, tmp_path, dimension, edges):
-        path = tmp_path / "graph.json"
+    def _graph_file(self, tmp_path, dimension, edges, name="graph.json"):
+        path = tmp_path / name
         path.write_text(
             json.dumps(
                 {"format_version": 1, "dimension": dimension, "shift": "0", "edges": edges}
@@ -210,6 +210,44 @@ class TestHugeInputs:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert elapsed < 1
+
+    def _one_weight_files(self, tmp_path):
+        # each parses, but their composites have denominators of 1200 digits
+        return [
+            self._graph_file(tmp_path, 2, [{"u": 0, "v": 1, "w": f"1/{10**600 + k}"}], name)
+            for k, name in ((1, "a.json"), (3, "b.json"))
+        ]
+
+    @pytest.mark.parametrize("mode", ["and", "or"])
+    def test_unwritable_composite_exits_3(self, tmp_path, capsys, mode):
+        a, b = self._one_weight_files(tmp_path)
+        out = tmp_path / "out.json"
+        code, captured, _ = self._run(["compose", mode, a, b, str(out)], capsys)
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: the graph cannot be written as a document: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_unwritable_stage_exits_3(self, tmp_path, capsys):
+        a, _ = self._one_weight_files(tmp_path)
+        out_dir = tmp_path / "stages"
+        code, captured, _ = self._run(["iterate", "or", a, "2", str(out_dir)], capsys)
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        # stage 1 could be written, but nothing is written once a stage cannot
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("budget", [[], ["--entry-budget", str(10**100)]])
+    def test_budget_error_stays_short(self, tmp_path, capsys, budget):
+        path = self._graph_file(tmp_path, 10**30, [])
+        out_dir = str(tmp_path / "stages")
+        code, captured, _ = self._run(["iterate", "and", path, "2", out_dir, *budget], capsys)
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err.rstrip("\n")) <= 120
 
     def test_empty_graph_of_huge_dimension(self, tmp_path, capsys):
         path = self._graph_file(tmp_path, 1_000_000, [])

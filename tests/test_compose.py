@@ -25,6 +25,7 @@ from wdglab import (
     support_classes,
     wdg_of_matrix,
 )
+from wdglab.core import scale_to_integers
 
 F = Fraction
 
@@ -138,6 +139,49 @@ class TestDenseReference:
             d1, d2 = factor(k), factor(k + 5)
             for mode in ("and", "or"):
                 assert compose(mode, d1, d2) == dense_compose(mode, d1, d2), (k, mode)
+
+
+    def test_composite_ints_past_int64(self):
+        # coprime denominators near 2**61 and 10**9: over their common
+        # denominator the composite weights need well over 64 bits
+        d1 = build_wdg(
+            3, [(0, 1, F(5, 2**61 - 1)), (1, 2, F(-7, 10**9 + 7))], F(3, 10**9 + 9)
+        )
+        d2 = build_wdg(
+            3, [(0, 2, F(2**40 + 1, 998244353)), (1, 2, F(1, 2**31 - 1))], F(-1, 3)
+        )
+        for mode in ("and", "or"):
+            result = compose(mode, d1, d2)
+            assert result == dense_compose(mode, d1, d2), mode
+            _, ints = scale_to_integers([e.weight for e in result.wdg.edges])
+            assert max(map(abs, ints)) > 2**63, mode
+
+    @pytest.mark.parametrize(
+        "mode, unit",
+        [("and", 0), ("or", 1)],
+        ids=["and-shift-0", "or-shift-1"],
+    )
+    def test_zero_role_coefficient(self, pair_left, pair_right, mode, unit):
+        # the right shift zeroes the left-edge x diagonal coefficient, the
+        # left shift the diagonal x right-edge one, and both at once
+        def shifted(wdg, shift):
+            return build_wdg(wdg.dimension, [(e.u, e.v, e.weight) for e in wdg.edges], shift)
+
+        left, right = pair_left, pair_right
+        e1, e2 = len(left.edges), len(right.edges)
+        pair_edges = 2 * e1 * e2
+        left_edges = e1 * right.dimension  # left edge x right diagonal
+        right_edges = e2 * left.dimension  # left diagonal x right edge
+        cases = {
+            "left role": (left, shifted(right, unit), pair_edges + right_edges),
+            "right role": (shifted(left, unit), right, pair_edges + left_edges),
+            "both": (shifted(left, unit), shifted(right, unit), pair_edges),
+        }
+        for name, (d1, d2, edges) in cases.items():
+            result = compose(mode, d1, d2)
+            assert result == dense_compose(mode, d1, d2), name
+            assert len(result.wdg.edges) == edges, name
+            assert all(e.weight != 0 for e in result.wdg.edges), name
 
 
 class TestUnitElements:

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdglab import (
     PartialFunctionSpec,
@@ -14,6 +16,7 @@ from wdglab import (
     vertex_weight_bound,
 )
 from wdglab.documents import (
+    _wdg_fields,
     parse_function_document,
     parse_target_document,
     parse_wdg_document,
@@ -84,6 +87,41 @@ class TestWdgDocument:
             parse_wdg_document("not json {")
         with pytest.raises(DocumentError):
             parse_wdg_document("[1, 2]")
+
+
+# Large coprime denominators: a graph that draws several of them has a
+# common denominator past 2**63, well inside the parser's caps.
+LARGE_DENOMINATORS = (2**61 - 1, 2**89 - 1, 10**9 + 7, 10**9 + 9, 998244353)
+
+
+@st.composite
+def rationals(draw):
+    kind = draw(st.sampled_from(("integer", "small", "large")))
+    numerator = draw(st.integers(-(2**70), 2**70) if kind == "large" else st.integers(-50, 50))
+    if kind == "integer":
+        return Fraction(numerator)
+    if kind == "small":
+        return Fraction(numerator, draw(st.integers(1, 64)))
+    return Fraction(numerator, draw(st.sampled_from(LARGE_DENOMINATORS)))
+
+
+@st.composite
+def graphs(draw):
+    dimension = draw(st.integers(1, 40))
+    pairs = [(u, v) for u in range(dimension) for v in range(u + 1, dimension)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    edges = [(u, v, draw(rationals())) for u, v in chosen]
+    return build_wdg(dimension, edges, draw(rationals()))
+
+
+class TestWdgDocumentProperties:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(graphs())
+    def test_writer_matches_json_dumps(self, wdg):
+        text = serialize_wdg(wdg)
+        assert text == json.dumps(_wdg_fields(wdg), indent=2) + "\n"
+        assert parse_wdg_document(text) == wdg
+        assert serialize_wdg(parse_wdg_document(text)) == text
 
 
 class TestTargetDocument:
