@@ -91,7 +91,6 @@ from .oracle import (
     approximation_error,
     delta_exact,
     extrema,
-    iter_values,
     normalize_range,
     range_check,
     support_classes,

@@ -234,11 +234,21 @@ def iterate_compose(
     """Stages D_1 = base, D_{i+1} = compose(D_i, base), up to ``depth``.
 
     Raises SizeBudgetExceededError before building any stage whose
-    associated matrix would exceed ``entry_budget`` entries.
+    associated matrix would exceed ``entry_budget`` entries.  A one-vertex
+    base never grows, so the budget cannot bound its depth; it gets the
+    depth a two-vertex base reaches, whose stage i has 4**i entries.
     """
     _check_mode(mode)
     if depth < 1:
         raise WdgError(f"depth must be >= 1, got {depth}")
+    if base.dimension == 1:
+        # floor(log4(budget)), and depth 1 composes nothing
+        reach = max(1, (max(entry_budget, 1).bit_length() - 1) // 2)
+        if depth > reach:
+            raise SizeBudgetExceededError(
+                f"depth {clip(str(depth), MAX_COUNT)} of a one-vertex base exceeds {reach}, "
+                f"the depth a two-vertex base reaches in budget {clip(str(entry_budget), MAX_COUNT)}"
+            )
     stages = [
         ComposedResult(wdg=base, shift=base.shift, predicted_l1=l1_norm(base), mode=mode)
     ]

@@ -51,7 +51,7 @@ from .errors import (
     InfeasibleError,
     LimitExceededError,
 )
-from .oracle import approximation_error, delta_exact, extrema, scan_cube
+from .oracle import _sign_table, approximation_error, delta_exact, extrema, scan_cube
 
 MAXIMIZE = "maximize_l1"
 MINIMIZE = "minimize_delta"
@@ -384,18 +384,15 @@ def _solve(
     mode: str,
     chains: int,
 ) -> OptimizationResult:
-    if spec.dimension - 1 > ENUMERATION_LIMIT:
+    n = spec.dimension - 1
+    if n > ENUMERATION_LIMIT:
         raise LimitExceededError(
-            f"{spec.dimension - 1} free coordinates exceed the oracle limit "
-            f"{ENUMERATION_LIMIT}"
+            f"{n} free coordinates exceed the optimizer's search limit {ENUMERATION_LIMIT}"
         )
     pairs = _canonical_template(template, spec.dimension)
     _check_provably_feasible(spec)
-    n = spec.dimension - 1
-    cube = [
-        tuple(1 if (p >> i) & 1 == 0 else -1 for i in range(n)) for p in range(1 << n)
-    ]
-    sign_cube = _sign_columns(spec.dimension, pairs, cube)
+    # the whole cube, one assignment per row, in lexicographic order
+    sign_cube = _sign_columns(spec.dimension, pairs, _sign_table(n)[1:].T)
     sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
     best: Optional[_Candidate] = None
     best_iterations = 0

@@ -14,7 +14,8 @@ high coordinate h holding its edges to the low coordinates and the
 ancilla; the edges among high coordinates are one scalar.  The high
 coordinates are walked in Gray-code order, so each step flips one h and
 updates the block with one vector add of twice its cross column and the
-scalar with O(degree) integer operations.
+scalar with O(degree) integer operations.  ``scan_cube`` (extrema) and
+``support_classes`` (points where f is 1 or 0) reduce that one walk.
 
 The vectors are int64 when 4 * sum|w| < 2**63: that bounds every value
 and every doubled cross column, so nothing can overflow.  Otherwise they
@@ -52,7 +53,8 @@ from .core import (
 )
 from .errors import DegenerateGraphError, LimitExceededError
 
-DEFAULT_ENUMERATION_LIMIT = 26  # max free coordinates for an exhaustive scan
+SCAN_TIME_LIMIT = 26  # free coordinates of an exact scan; 2**26 int64 points take 0.1 s
+OUTPUT_SIZE_LIMIT = 20  # free coordinates of a cube whose support classes are listed
 # log2 of the block length: int64 blocks stay cache-sized, and Python-int
 # blocks are narrower because each entry is a separate heap object.
 _INT64_BITS = 12
@@ -86,14 +88,6 @@ class SupportClasses:
 
     s_plus: frozenset
     s_minus: frozenset
-
-
-def _adjacency(dimension: int, int_edges) -> list:
-    adj = [[] for _ in range(dimension)]
-    for u, v, w in int_edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
 
 
 @functools.cache
@@ -132,13 +126,12 @@ def _block_layout(l1: int):
     return object, _OBJECT_BITS
 
 
-def scan_cube(n: int, int_edges, l1: int):
-    """Exact extrema of a scaled-integer graph value over the n-cube.
+def _walk(n: int, int_edges, l1: int):
+    """Yield (high, block, offset) at each Gray step over the high coordinates.
 
-    ``int_edges`` are (u, v, w) with 0 <= u < v <= n, no vertex pair
-    twice and int weights (zeros allowed); ``l1`` is the sum of |w|.
-    Returns (max, argmax, min, argmin): the values as ints and the
-    witnesses as the lexicographically smallest assignments.
+    ``high`` holds the n - L high signs; the graph values at the 2**L low
+    points, in lexicographic order, are ``block + offset``.  ``block`` is
+    updated in place by the next step.  Arguments as for :func:`scan_cube`.
     """
     dtype, bits = _block_layout(l1)
     low = min(n, bits)
@@ -168,13 +161,7 @@ def scan_cube(n: int, int_edges, l1: int):
     cur -= columns.sum(axis=0)
     columns *= 2
     y = [-1] * high
-
-    def block():
-        i, j = int(cur.argmax()), int(cur.argmin())
-        key = tuple(y)
-        return int(cur[i]) + high_sum, (key, i), int(cur[j]) + high_sum, (key, j)
-
-    merged = block()
+    yield tuple(y), cur, high_sum
     for step in range(1, 1 << high):
         h = (step & -step).bit_length() - 1
         s = 0
@@ -187,15 +174,30 @@ def scan_cube(n: int, int_edges, l1: int):
             cur -= columns[h]
             high_sum -= 2 * s
         y[h] = -y[h]
-        merged = _merge(merged, block())
+        yield tuple(y), cur, high_sum
+
+
+def _points(n: int, high: tuple, indices) -> list:
+    """The assignments at the given block indices for the given high signs."""
+    low_signs = _sign_table(n - len(high))[1:, indices]
+    return [high + tuple(column) for column in low_signs.T.tolist()]
+
+
+def scan_cube(n: int, int_edges, l1: int):
+    """Exact extrema of a scaled-integer graph value over the n-cube.
+
+    ``int_edges`` are (u, v, w) with 0 <= u < v <= n, no vertex pair
+    twice and int weights (zeros allowed); ``l1`` is the sum of |w|.
+    Returns (max, argmax, min, argmin): the values as ints and the
+    witnesses as the lexicographically smallest assignments.
+    """
+    merged = None
+    for high, block, offset in _walk(n, int_edges, l1):
+        i, j = int(block.argmax()), int(block.argmin())
+        result = int(block[i]) + offset, (high, i), int(block[j]) + offset, (high, j)
+        merged = result if merged is None else _merge(merged, result)
     best, (hi_best, i), worst, (hi_worst, j) = merged
-    low_signs = _sign_table(low)[1:]
-    return (
-        best,
-        hi_best + tuple(low_signs[:, i].tolist()),
-        worst,
-        hi_worst + tuple(low_signs[:, j].tolist()),
-    )
+    return best, _points(n, hi_best, [i])[0], worst, _points(n, hi_worst, [j])[0]
 
 
 def vertex_weight_bound(wdg: WDG) -> Fraction:
@@ -211,8 +213,8 @@ def vertex_weight_bound(wdg: WDG) -> Fraction:
     return max(incidence.values(), default=Fraction(0))
 
 
-def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
-    """Exact max/min of g over the cube, or bounds-only beyond ``limit``.
+def extrema(wdg: WDG) -> ExtremaReport:
+    """Exact max/min of g over the cube, or bounds-only beyond the scan limit.
 
     Witnesses are canonical: the lexicographically smallest maximizer
     and minimizer under the ordering -1 < +1.
@@ -227,7 +229,7 @@ def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
         incidence[v] += a
     lower = Fraction(2 * max(incidence.values(), default=0), denom)
     upper = Fraction(2 * l1, denom)
-    if wdg.num_variables > limit:
+    if wdg.num_variables > SCAN_TIME_LIMIT:
         return ExtremaReport(
             exact=False,
             max=None,
@@ -253,54 +255,44 @@ def extrema(wdg: WDG, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ExtremaReport:
     )
 
 
-def iter_values(wdg: WDG) -> Iterator[tuple]:
-    """Yield (assignment, g) for every cube point in Gray-code order."""
-    n = wdg.num_variables
-    denom, int_edges = scaled_edges(wdg)
-    adj = _adjacency(wdg.dimension, int_edges)
-    x = [1] * wdg.dimension
-    g = sum(w for _, _, w in int_edges)
-    yield tuple(x[1:]), Fraction(g, denom)
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length()
-        s = 0
-        for u, w in adj[v]:
-            s += w * x[u]
-        g -= 2 * s * x[v]
-        x[v] = -x[v]
-        yield tuple(x[1:]), Fraction(g, denom)
-
-
 def all_assignments(num_variables: int) -> Iterator[Assignment]:
     """All +-1 tuples in lexicographic order (-1 before +1)."""
     return iter(itertools.product((-1, 1), repeat=num_variables))
 
 
 def support_classes(
-    wdg: WDG,
-    domain: Optional[Iterable[Assignment]] = None,
-    limit: int = 20,
+    wdg: WDG, domain: Optional[Iterable[Assignment]] = None
 ) -> SupportClasses:
-    """Partition inputs by exact f-value 1 / 0; other values are excluded."""
+    """Partition inputs by exact f-value 1 / 0; other values are excluded.
+
+    Without ``domain`` the cube scan finds g = (1 - K) * D and g = -K * D on
+    the scaled integers; a target that is not an integer, or is past the
+    scaled l1 norm that bounds |g|, is skipped.  A ``domain`` is evaluated
+    point by point in Fraction arithmetic.
+    """
+    plus, minus = [], []
     if domain is None:
-        if wdg.num_variables > limit:
+        n = wdg.num_variables
+        if n > OUTPUT_SIZE_LIMIT:
             raise LimitExceededError(
-                f"{wdg.num_variables} free coordinates exceed the limit {limit}; "
+                f"{n} free coordinates exceed the limit {OUTPUT_SIZE_LIMIT}; "
                 f"pass an explicit domain"
             )
-        points = iter_values(wdg)
+        denom, int_edges = scaled_edges(wdg)
+        l1 = sum(abs(w) for _, _, w in int_edges)
+        targets = [((1 - wdg.shift) * denom, plus), (-wdg.shift * denom, minus)]
+        targets = [(int(t), found) for t, found in targets if t.denominator == 1 and abs(t) <= l1]
+        for high, block, offset in _walk(n, int_edges, l1):
+            for target, found in targets:
+                found += _points(n, high, np.flatnonzero(block == target - offset))
     else:
-        points = (
-            (check_assignment(x, wdg.dimension), evaluate(wdg, x)) for x in domain
-        )
-    plus, minus = [], []
-    one_minus_shift = 1 - wdg.shift
-    minus_shift = -wdg.shift
-    for x, g in points:
-        if g == one_minus_shift:
-            plus.append(x)
-        elif g == minus_shift:
-            minus.append(x)
+        for x in domain:
+            x = check_assignment(x, wdg.dimension)
+            f = evaluate(wdg, x) + wdg.shift
+            if f == 1:
+                plus.append(x)
+            elif f == 0:
+                minus.append(x)
     return SupportClasses(s_plus=frozenset(plus), s_minus=frozenset(minus))
 
 
@@ -309,8 +301,7 @@ def _exact_extrema(wdg: WDG) -> ExtremaReport:
     report = extrema(wdg)
     if not report.exact:
         raise LimitExceededError(
-            f"{wdg.num_variables} free coordinates exceed the limit "
-            f"{DEFAULT_ENUMERATION_LIMIT}"
+            f"{wdg.num_variables} free coordinates exceed the limit {SCAN_TIME_LIMIT}"
         )
     return report
 

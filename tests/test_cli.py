@@ -249,6 +249,20 @@ class TestHugeInputs:
         assert len(captured.err.splitlines()) == 1
         assert len(captured.err.rstrip("\n")) <= 120
 
+    @pytest.mark.parametrize("shift, depth", [("1/2", "100000000"), ("1", "20000")])
+    def test_one_vertex_iterate_exits_3(self, tmp_path, capsys, shift, depth):
+        path = tmp_path / "d1.json"
+        path.write_text(serialize_wdg(build_wdg(1, [], shift=F(shift))))
+        out_dir = tmp_path / "stages"
+        code, captured, elapsed = self._run(
+            ["iterate", "and", str(path), depth, str(out_dir)], capsys
+        )
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not out_dir.exists()
+        assert elapsed < 1
+
     def test_empty_graph_of_huge_dimension(self, tmp_path, capsys):
         path = self._graph_file(tmp_path, 1_000_000, [])
         code, captured, elapsed = self._run(["report", path], capsys)

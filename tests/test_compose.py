@@ -290,6 +290,17 @@ class TestIterate:
         with pytest.raises(SizeBudgetExceededError):
             iterate_compose(pair_right, 3, "and", entry_budget=80)
 
+    def test_one_vertex_depth_is_bounded(self):
+        base = build_wdg(1, [], shift=F(1, 2))
+        # the depth a two-vertex base reaches: 4**10 entries fit 2**20
+        stages = iterate_compose(base, 10, "and")
+        assert [s.wdg.shift for s in stages] == [F(1, 2**i) for i in range(1, 11)]
+        with pytest.raises(SizeBudgetExceededError):
+            iterate_compose(base, 11, "and")
+        assert len(iterate_compose(base, 2, "or", entry_budget=16)) == 2
+        with pytest.raises(SizeBudgetExceededError):
+            iterate_compose(base, 3, "or", entry_budget=16)
+
     def test_bad_depth(self, pair_right):
         with pytest.raises(WdgError):
             iterate_compose(pair_right, 0, "and")

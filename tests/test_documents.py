@@ -27,7 +27,7 @@ from wdglab.documents import (
     serialize_wdg,
 )
 from wdglab.errors import DocumentError
-from wdglab.oracle import DEFAULT_ENUMERATION_LIMIT
+from wdglab.oracle import SCAN_TIME_LIMIT
 
 F = Fraction
 
@@ -122,6 +122,50 @@ class TestWdgDocumentProperties:
         assert text == json.dumps(_wdg_fields(wdg), indent=2) + "\n"
         assert parse_wdg_document(text) == wdg
         assert serialize_wdg(parse_wdg_document(text)) == text
+
+
+def point_lists(length):
+    """Distinct (input, value) pairs, each input a tuple of ``length`` signs."""
+    inputs = st.tuples(*[st.sampled_from((-1, 1))] * length)
+    return st.lists(st.tuples(inputs, st.integers(0, 1)), unique=True, max_size=20)
+
+
+def document_text(fields: dict, points) -> str:
+    """A document laid out as the writers lay it out, built without them."""
+    fields["points"] = [
+        {"input": "".join("+" if v == 1 else "-" for v in x), "value": t} for x, t in points
+    ]
+    return json.dumps(fields, indent=2) + "\n"
+
+
+@st.composite
+def target_documents(draw):
+    """Fields in writer order, a canonical epsilon, points in drawn order."""
+    dimension = draw(st.integers(1, 12))
+    epsilon = abs(draw(rationals()))
+    points = draw(point_lists(dimension - 1))
+    fields = {"format_version": 1, "dimension": dimension, "epsilon": str(epsilon)}
+    return document_text(fields, points)
+
+
+@st.composite
+def function_documents(draw):
+    """A partial table, one value per input, its points sorted by input."""
+    arity = draw(st.integers(0, 10))
+    table = dict(draw(point_lists(arity)))
+    return document_text({"format_version": 1, "arity": arity}, sorted(table.items()))
+
+
+class TestDocumentProperties:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(target_documents())
+    def test_target_parse_serialize_identity(self, text):
+        assert serialize_target(parse_target_document(text)) == text
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(function_documents())
+    def test_function_table_parse_serialize_identity(self, text):
+        assert serialize_function_table(parse_function_document(text)) == text
 
 
 class TestTargetDocument:
@@ -228,7 +272,7 @@ class TestReport:
         graphs += [random_wdg(rng, 30, edge_probability=0.1) for _ in range(3)]
         for wdg in graphs:
             document = report_document(wdg)
-            assert document["exact"] is (wdg.num_variables <= DEFAULT_ENUMERATION_LIMIT)
+            assert document["exact"] is (wdg.num_variables <= SCAN_TIME_LIMIT)
             assert document["l1_norm"] == format_rational(l1_norm(wdg))
             assert document["l1_with_shift"] == format_rational(l1_norm_with_shift(wdg))
             assert document["epsilon_bound"] == format_rational(vertex_weight_bound(wdg))

@@ -131,8 +131,11 @@ class TestMaximize:
 
     def test_dimension_limit(self):
         spec = PartialFunctionSpec(dimension=19, points=(), epsilon=0)
-        with pytest.raises(LimitExceededError):
+        with pytest.raises(LimitExceededError) as raised:
             maximize_l1(spec, budget=10, seed=0)
+        assert str(raised.value) == (
+            "18 free coordinates exceed the optimizer's search limit 16"
+        )
 
 
 class TestMinimize:

@@ -16,7 +16,6 @@ from wdglab import (
     evaluate,
     extrema,
     f_value,
-    iter_values,
     l1_norm,
     normalize_range,
     oracle,
@@ -24,6 +23,7 @@ from wdglab import (
     support_classes,
     vertex_weight_bound,
 )
+from wdglab.core import scaled_edges
 from conftest import make_random_wdg
 
 F = Fraction
@@ -69,7 +69,10 @@ class TestExtrema:
         assert report.exact and report.delta == 0 and report.argmax == ()
 
     def test_bounds_only_mode(self, six_vertex_example):
-        report = extrema(six_vertex_example, limit=4)
+        # the six-vertex edges with 27 free coordinates, past the scan limit
+        wdg = build_wdg(28, [(e.u, e.v, e.weight) for e in six_vertex_example.edges])
+        assert wdg.num_variables > oracle.SCAN_TIME_LIMIT
+        report = extrema(wdg)
         assert not report.exact
         assert report.max is None and report.delta is None
         assert report.lower_bound == 2 * vertex_weight_bound(six_vertex_example)
@@ -80,12 +83,6 @@ class TestExtrema:
             wdg = random_wdg(rng, rng.randint(1, 9))
             report = extrema(wdg)
             assert report.lower_bound <= report.delta <= report.upper_bound
-
-    def test_incremental_matches_naive(self, rng, random_wdg):
-        for _ in range(8):
-            wdg = random_wdg(rng, rng.randint(2, 11))
-            for x, g in iter_values(wdg):
-                assert g == evaluate(wdg, x)
 
     def test_vector_width_invariance(self, rng, random_wdg, monkeypatch):
         graphs = []
@@ -181,6 +178,43 @@ def kernel_cases():
     return cases
 
 
+def planted(wdg, a, b):
+    """``wdg`` rescaled and shifted so that f(a) = 1 and f(b) = 0, or None
+    when g(a) = g(b)."""
+    gap = evaluate(wdg, a) - evaluate(wdg, b)
+    if gap == 0:
+        return None
+    edges = [(e.u, e.v, e.weight / gap) for e in wdg.edges]
+    return build_wdg(wdg.dimension, edges, -evaluate(wdg, b) / gap)
+
+
+def scaled_l1(wdg):
+    return sum(abs(w) for _, _, w in scaled_edges(wdg)[1])
+
+
+def support_cases():
+    """Random graphs for n = 0..12 with shifts planted on random points, on
+    the extrema, and off every scaled target.  Even n have small weights,
+    so g ties often and the classes are large; odd n have weights whose
+    common denominator passes int64."""
+    rng = random.Random(7007)
+    cases = []
+    for n in range(13):
+        if n % 2:
+            graph = large_denominators(rng, make_random_wdg(rng, n + 1, edge_probability=0.3))
+        else:
+            graph = make_random_wdg(rng, n + 1, max_denominator=2, edge_probability=0.3)
+        points = [tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(2)]
+        report = extrema(graph)
+        for a, b in (points, (report.argmax, report.argmin)):
+            if (shifted := planted(graph, a, b)) is not None:
+                cases.append(shifted)
+        # 1/p for a prime p not dividing the common denominator: no integer target
+        edges = [(e.u, e.v, e.weight) for e in graph.edges]
+        cases.append(build_wdg(graph.dimension, edges, F(1, 2**61 - 1)))
+    return cases
+
+
 class TestScanKernel:
     def test_dtype_at_int64_bound(self):
         assert oracle._block_layout((1 << 61) - 1)[0] is np.int64
@@ -251,9 +285,24 @@ class TestSupportClasses:
         assert classes.s_minus == frozenset()
 
     def test_limit(self):
-        wdg = build_wdg(25, [(0, 1, 1)])
+        wdg = build_wdg(oracle.OUTPUT_SIZE_LIMIT + 2, [(0, 1, 1)])
         with pytest.raises(LimitExceededError):
             support_classes(wdg)
+
+    def test_kernel_matches_domain(self, monkeypatch):
+        cases = support_cases()
+        expected = [
+            support_classes(wdg, domain=all_assignments(wdg.num_variables)) for wdg in cases
+        ]
+        # the cases exercise both classes, empty ones and both block dtypes
+        assert any(c.s_plus and c.s_minus for c in expected)
+        assert any(not c.s_plus and not c.s_minus for c in expected)
+        assert {oracle._block_layout(scaled_l1(wdg))[0] for wdg in cases} == {np.int64, object}
+        assert [support_classes(wdg) for wdg in cases] == expected
+        for bits in (0, 1, 2, 3):
+            monkeypatch.setattr(oracle, "_INT64_BITS", bits)
+            monkeypatch.setattr(oracle, "_OBJECT_BITS", bits)
+            assert [support_classes(wdg) for wdg in cases] == expected
 
 
 class TestRangeAndRescaling:
