@@ -139,14 +139,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _int_at_least(low: int, kind: str):
+    """An argparse type for ints of at least ``low``; argparse names the
+    option in the message that refuses any other value."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("objective", choices=(MAXIMIZE, MINIMIZE))
     p.add_argument("target", help="target document")
     p.add_argument("--epsilon", help="override the document tolerance (rational)")
-    p.add_argument("--budget", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=_positive_int, default=1)
+    p.add_argument("--budget", type=_int_at_least(1, "positive"), default=100_000)
+    p.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0)
+    p.add_argument("--chains", type=_int_at_least(1, "positive"), default=1)
     p.add_argument("--out", help="also write the found WDG document here")
     p.set_defaults(func=cmd_optimize)
 

@@ -49,7 +49,6 @@ from .core import (
     as_rational,
     l1_norm,
     scale_to_integers,
-    scaled_edges,
 )
 from .errors import DuplicateEdgeError, SizeBudgetExceededError, WdgError, clip
 
@@ -107,16 +106,17 @@ def _build(
     {(u,q), (v,p)}; a left edge puts ``left * w`` on {(u,j), (v,j)} for
     every j; a right edge puts ``right * w'`` on {(i,p), (i,q)} for every i.
 
-    Everything runs on integers: the factor weights are a / D1 and b / D2,
-    the roles become int multipliers P, L and R over one denominator D,
-    and the composite weights are P*a*b, L*a and R*b over D.  The weight
-    of composite pair (x, y) is stored under the key x * n*m + y; factor
-    edges have u < v, so every composite pair has x < y.
+    Everything runs on integers: the factor weights are a / D1 and b / D2
+    in the factors' cached ``scaled`` forms, the roles become int
+    multipliers P, L and R over one denominator D, and the composite
+    weights are P*a*b, L*a and R*b over D.  The weight of composite pair
+    (x, y) is stored under the key x * n*m + y; factor edges have u < v,
+    so every composite pair has x < y.
     """
     n, m = d1.dimension, d2.dimension
     size = n * m
-    den1, ints1 = scaled_edges(d1)
-    den2, ints2 = scaled_edges(d2)
+    den1, ints1, _, _ = d1.scaled
+    den2, ints2, _, _ = d2.scaled
     den, (pair_int, left_int, right_int) = scale_to_integers(
         (pair / (den1 * den2), left / den1, right / den2)
     )
@@ -154,13 +154,7 @@ def _build(
                 if key in seen:
                     raise DuplicateEdgeError(f"duplicate edge {divmod(key, size)}")
                 seen.add(key)
-    expected = predicted_l1(
-        mode,
-        Fraction(sum(abs(a) for _, _, a in ints1), den1),
-        d1.shift,
-        Fraction(sum(abs(b) for _, _, b in ints2), den2),
-        d2.shift,
-    )
+    expected = predicted_l1(mode, l1_norm(d1), d1.shift, l1_norm(d2), d2.shift)
     actual = Fraction(sum(map(abs, weights.values())), den)
     if actual != expected:
         raise WdgError(

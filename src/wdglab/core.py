@@ -23,8 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     BadIndexError,
@@ -121,6 +122,17 @@ class Edge:
     weight: Fraction
 
 
+class ScaledForm(NamedTuple):
+    """Edge weights over their common denominator ``denom``: ``edges`` are
+    (u, v, w * denom) in edge order, ``l1`` sums their |w * denom| and
+    ``vertex_bound`` is the largest such sum over one vertex's edges."""
+
+    denom: int
+    edges: tuple
+    l1: int
+    vertex_bound: int
+
+
 @dataclass(frozen=True)
 class WDG:
     """A weighted dynamical graph: ``dimension`` vertices (ancilla at 0),
@@ -135,6 +147,18 @@ class WDG:
     def num_variables(self) -> int:
         """Number of free input coordinates (the ancilla is fixed)."""
         return self.dimension - 1
+
+    @cached_property
+    def scaled(self) -> ScaledForm:
+        """The integer form, built once in O(edges); not a field, so ==, hash
+        and repr ignore it."""
+        denom, ints = scale_to_integers([e.weight for e in self.edges])
+        edges = tuple((e.u, e.v, w) for e, w in zip(self.edges, ints))
+        incidence = {}
+        for u, v, w in edges:
+            incidence[u] = incidence.get(u, 0) + abs(w)
+            incidence[v] = incidence.get(v, 0) + abs(w)
+        return ScaledForm(denom, edges, sum(map(abs, ints)), max(incidence.values(), default=0))
 
 
 @dataclass(frozen=True)
@@ -251,18 +275,12 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple:
     return denom, [v.numerator * (denom // v.denominator) for v in values]
 
 
-def scaled_edges(wdg: WDG) -> tuple:
-    """(D, [(u, v, w * D)]): the edges scaled to their common denominator D."""
-    denom, ints = scale_to_integers([e.weight for e in wdg.edges])
-    return denom, [(e.u, e.v, w) for e, w in zip(wdg.edges, ints)]
-
-
 def l1_norm(wdg: WDG) -> Fraction:
     """Sum of absolute edge weights (the coefficient 1-norm of g).
 
     The shift is not included; see :func:`l1_norm_with_shift`.
     """
-    return sum((abs(e.weight) for e in wdg.edges), Fraction(0))
+    return Fraction(wdg.scaled.l1, wdg.scaled.denom)
 
 
 def l1_norm_with_shift(wdg: WDG) -> Fraction:

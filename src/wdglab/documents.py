@@ -55,6 +55,10 @@ def _load(text: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses a literal of over 4300 digits
+        raise DocumentError("a JSON integer has over 4300 digits") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise DocumentError("JSON arrays and objects are nested too deeply") from exc
     if not isinstance(document, dict):
         raise DocumentError("document must be a JSON object")
     return document
@@ -67,10 +71,9 @@ def _expect_keys(document: dict, keys: tuple) -> None:
         raise DocumentError(
             f"document keys {_echo(sorted(document))} do not match expected {list(keys)}"
         )
-    if document["format_version"] != FORMAT_VERSION:
-        raise DocumentError(
-            f"unsupported format_version {_echo(document['format_version'])}"
-        )
+    version = document["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
+        raise DocumentError(f"unsupported format_version {_echo(version)}")
 
 
 def _check_bits(rational: Fraction, field: str) -> None:

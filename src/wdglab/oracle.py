@@ -1,9 +1,9 @@
 """Brute-force ground truth over the input hypercube.
 
-All weights are pre-scaled by their common denominator, so every scan
-runs on integers and stays exact.  The same scaled integers give the
-bounds ``2 * vertex weight bound <= delta <= 2 * l1`` without a
-Fraction sum.
+Every scan reads the graph's cached integer form ``WDG.scaled``, its
+weights over their common denominator, so it runs on integers and stays
+exact.  The same form holds the sums behind the bounds
+``2 * vertex weight bound <= delta <= 2 * l1``.
 
 The exact extrema scan splits the n free coordinates.  The lowest-
 significance L of them form a block: one numpy vector of the graph
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -48,8 +47,8 @@ from .core import (
     build_wdg,
     check_assignment,
     evaluate,
+    l1_norm,
     l1_norm_with_shift,
-    scaled_edges,
 )
 from .errors import DegenerateGraphError, LimitExceededError
 
@@ -206,11 +205,7 @@ def vertex_weight_bound(wdg: WDG) -> Fraction:
     Twice this value is a guaranteed lower bound on delta: flipping the
     heaviest vertex alone swings g by that much.
     """
-    incidence = defaultdict(Fraction)
-    for e in wdg.edges:
-        incidence[e.u] += abs(e.weight)
-        incidence[e.v] += abs(e.weight)
-    return max(incidence.values(), default=Fraction(0))
+    return Fraction(wdg.scaled.vertex_bound, wdg.scaled.denom)
 
 
 def extrema(wdg: WDG) -> ExtremaReport:
@@ -219,16 +214,8 @@ def extrema(wdg: WDG) -> ExtremaReport:
     Witnesses are canonical: the lexicographically smallest maximizer
     and minimizer under the ordering -1 < +1.
     """
-    denom, int_edges = scaled_edges(wdg)
-    l1 = 0
-    incidence = defaultdict(int)
-    for u, v, w in int_edges:
-        a = abs(w)
-        l1 += a
-        incidence[u] += a
-        incidence[v] += a
-    lower = Fraction(2 * max(incidence.values(), default=0), denom)
-    upper = Fraction(2 * l1, denom)
+    lower = 2 * vertex_weight_bound(wdg)
+    upper = 2 * l1_norm(wdg)
     if wdg.num_variables > SCAN_TIME_LIMIT:
         return ExtremaReport(
             exact=False,
@@ -240,6 +227,7 @@ def extrema(wdg: WDG) -> ExtremaReport:
             lower_bound=lower,
             upper_bound=upper,
         )
+    denom, int_edges, l1, _ = wdg.scaled
     best, arg_best, worst, arg_worst = scan_cube(wdg.num_variables, int_edges, l1)
     gmax = Fraction(best, denom)
     gmin = Fraction(worst, denom)
@@ -278,8 +266,7 @@ def support_classes(
                 f"{n} free coordinates exceed the limit {OUTPUT_SIZE_LIMIT}; "
                 f"pass an explicit domain"
             )
-        denom, int_edges = scaled_edges(wdg)
-        l1 = sum(abs(w) for _, _, w in int_edges)
+        denom, int_edges, l1, _ = wdg.scaled
         targets = [((1 - wdg.shift) * denom, plus), (-wdg.shift * denom, minus)]
         targets = [(int(t), found) for t, found in targets if t.denominator == 1 and abs(t) <= l1]
         for high, block, offset in _walk(n, int_edges, l1):

@@ -15,6 +15,7 @@ from wdglab.documents import (
 )
 
 F = Fraction
+NESTED = "JSON arrays and objects are nested too deeply"
 
 
 @pytest.fixture
@@ -263,6 +264,40 @@ class TestHugeInputs:
         assert not out_dir.exists()
         assert elapsed < 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 200_000, NESTED),
+            ('{"a":' * 100_000 + "1" + "}" * 100_000, NESTED),
+            ('{"format_version": ' + "9" * 5000 + "}", "a JSON integer has over 4300 digits"),
+        ],
+        ids=["open-arrays", "nested-objects", "5000-digit-integer"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report"],
+            ["eval", "{}", "+"],
+            ["compose", "and", "{}", "{}", "out.json"],
+            ["iterate", "or", "{}", "2", "stages"],
+            ["optimize", "maximize_l1"],
+            ["certificate"],
+        ],
+        ids=["report", "eval", "compose", "iterate", "optimize", "certificate"],
+    )
+    def test_undecodable_document_exits_2(self, tmp_path, capsys, command, text, message):
+        # graph, target and function-table documents all refuse it in the parser
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = [str(path) if token == "{}" else token for token in command]
+        if "{}" not in command:
+            argv.append(str(path))
+        code, captured, elapsed = self._run(argv, capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert elapsed < 1
+
     def test_empty_graph_of_huge_dimension(self, tmp_path, capsys):
         path = self._graph_file(tmp_path, 1_000_000, [])
         code, captured, elapsed = self._run(["report", path], capsys)
@@ -403,6 +438,7 @@ class TestOptimize:
             ["--budget", "-5"],
             ["--budget", "many"],
             ["--chains", "0"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_option_exits_2(self, target_file, capsys, option):
@@ -410,6 +446,7 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+        assert option[0] in captured.err
 
 
 class TestCertificate:

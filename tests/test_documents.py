@@ -69,6 +69,8 @@ class TestWdgDocument:
             {"edges": [{"u": 0, "v": 0, "w": "1/8"}]},
             {"edges": [{"u": 0, "v": 9, "w": "1/8"}]},
             {"extra": 1},
+            {"format_version": True},  # true and 1.0 compare equal to 1
+            {"format_version": 1.0},
         ],
     )
     def test_invalid_documents_rejected(self, mutation):

@@ -1,4 +1,8 @@
+import dataclasses
 import random
+import time
+import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -23,7 +27,6 @@ from wdglab import (
     support_classes,
     vertex_weight_bound,
 )
-from wdglab.core import scaled_edges
 from conftest import make_random_wdg
 
 F = Fraction
@@ -189,7 +192,7 @@ def planted(wdg, a, b):
 
 
 def scaled_l1(wdg):
-    return sum(abs(w) for _, _, w in scaled_edges(wdg)[1])
+    return wdg.scaled.l1
 
 
 def support_cases():
@@ -234,6 +237,62 @@ class TestScanKernel:
             # Fraction evaluation at every point is slow; the reference covers n > 9
             if wdg.num_variables <= 9:
                 assert scanned == naive_extrema(wdg)
+
+
+def fraction_l1(wdg):
+    """Reference for ``l1_norm``: the sum of |w| in Fraction arithmetic."""
+    return sum((abs(e.weight) for e in wdg.edges), F(0))
+
+
+def fraction_vertex_bound(wdg):
+    """Reference for ``vertex_weight_bound``: per-vertex sums of |w| in Fractions."""
+    incidence = defaultdict(F)
+    for e in wdg.edges:
+        incidence[e.u] += abs(e.weight)
+        incidence[e.v] += abs(e.weight)
+    return max(incidence.values(), default=F(0))
+
+
+class TestScaledForm:
+    def test_matches_fraction_sums(self):
+        rng = random.Random(1616)
+        cases = [make_random_wdg(rng, rng.randint(1, 12)) for _ in range(40)]
+        cases += [build_wdg(d, []) for d in (1, 2, 9)] + support_cases()
+        for wdg in cases:
+            form = wdg.scaled
+            assert form.denom == lcm(*(e.weight.denominator for e in wdg.edges))
+            assert [(u, v) for u, v, _ in form.edges] == [(e.u, e.v) for e in wdg.edges]
+            assert all(F(w, form.denom) == e.weight for (_, _, w), e in zip(form.edges, wdg.edges))
+            assert F(form.l1, form.denom) == fraction_l1(wdg) == l1_norm(wdg)
+            assert F(form.vertex_bound, form.denom) == fraction_vertex_bound(wdg)
+            assert vertex_weight_bound(wdg) == fraction_vertex_bound(wdg)
+            assert wdg.scaled is form
+        assert max(wdg.scaled.denom for wdg in cases) >= 1 << 63
+
+    def test_empty_graph(self):
+        assert build_wdg(4, [], F(1, 3)).scaled == (1, (), 0, 0)
+
+    def test_huge_dimension_stays_o_edges(self):
+        wdg = build_wdg(1_000_000, [(0, 999_999, F(1, 3)), (5, 999_999, F(-2, 7))])
+        tracemalloc.start()
+        start = time.perf_counter()
+        form = wdg.scaled
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert form == (21, ((0, 999_999, 7), (5, 999_999, -6)), 13, 13)
+        # a per-vertex array would take 8 MB
+        assert peak < 100_000 and elapsed < 0.1
+
+    def test_cache_is_not_a_field(self, rng, random_wdg):
+        a = random_wdg(rng, 7)
+        b = build_wdg(a.dimension, [(e.u, e.v, e.weight) for e in a.edges], a.shift)
+        a.scaled
+        assert "scaled" in vars(a) and "scaled" not in vars(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [field.name for field in dataclasses.fields(a)] == ["dimension", "edges", "shift"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.scaled = None
 
 
 class TestVertexWeightBound:
