@@ -30,7 +30,9 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .core import WDG, Assignment, build_wdg
-from .errors import BadIndexError, LimitExceededError, SizeBudgetExceededError
+from .errors import BadIndexError, SizeBudgetExceededError
+
+AND_FAMILY_MAX_K = 20  # and_family_wdg's largest k: 2**20 vertices
 
 # Cap on |domain|**2 * 2**arity, which bounds the domain scans of
 # certificate_complexity: every point may try every subset, and each try
@@ -78,24 +80,19 @@ def subset_products(bits: Sequence[int]) -> Assignment:
     return vec[1:]
 
 
-def and_family_wdg(
-    k: int,
-    normalized: bool = False,
-    vertex_budget: int = 1 << 20,
-) -> WDG:
+def and_family_wdg(k: int, normalized: bool = False) -> WDG:
     """The 2^k-vertex graph computing the k-bit AND on subset-product inputs.
 
     See the module docstring for the two forms.  The wide form satisfies
     f(subset_products(bits)) == 2 * and_indicator(bits) - 1; the
     normalized form satisfies f(subset_products(bits)) == and_indicator(bits).
+    Raises SizeBudgetExceededError when k exceeds AND_FAMILY_MAX_K.
     """
     if k < 1:
         raise BadIndexError(f"k must be >= 1, got {k}")
+    if k > AND_FAMILY_MAX_K:
+        raise SizeBudgetExceededError(f"k must be <= {AND_FAMILY_MAX_K}, got {k}")
     dimension = 1 << k
-    if dimension > vertex_budget:
-        raise SizeBudgetExceededError(
-            f"2^{k} vertices exceed the budget {vertex_budget}"
-        )
     if normalized:
         weight = Fraction(1, dimension)
         shift = Fraction(1, dimension)
@@ -162,14 +159,12 @@ def certificate_complexity(f: PartialBooleanFunction) -> CertificateComplexity:
     class is empty); c = max(c0, c1).  Raises SizeBudgetExceededError
     before searching when |domain|**2 * 2**arity exceeds CERTIFICATE_BUDGET.
     """
-    if f.arity > 20:
-        raise LimitExceededError(f"arity {f.arity} exceeds the brute-force limit 20")
     domain = list(f.table.items())
     work = len(domain) ** 2 << f.arity
     if work > CERTIFICATE_BUDGET:
         raise SizeBudgetExceededError(
             f"certificate search over {len(domain)} points of arity {f.arity} "
-            f"may take {work} steps (budget {CERTIFICATE_BUDGET})"
+            f"is past the budget: |domain|^2 * 2^arity must be at most {CERTIFICATE_BUDGET}"
         )
     worst = {0: 0, 1: 0}
     indices = range(f.arity)

@@ -55,8 +55,9 @@ from .errors import DuplicateEdgeError, SizeBudgetExceededError, WdgError, clip
 AND = "and"
 OR = "or"
 
-DEFAULT_ENTRY_BUDGET = 1 << 20  # max associated-matrix entries of one composite
-MAX_COUNT = 12  # longest entry count an error message prints in full
+VERTEX_LIMIT = 1024  # most vertices of one composite: 2**20 matrix entries
+MAX_DEPTH = 10  # the depth a two-vertex base reaches: 2**10 == VERTEX_LIMIT
+MAX_COUNT = 12  # longest document value an error message prints in full
 
 
 @dataclass(frozen=True)
@@ -190,20 +191,21 @@ def compose_or(d1: WDG, d2: WDG) -> ComposedResult:
     )
 
 
-def compose(
-    mode: str, d1: WDG, d2: WDG, entry_budget: int = DEFAULT_ENTRY_BUDGET
-) -> ComposedResult:
+def _count(value: int) -> str:
+    return clip(str(value), MAX_COUNT)
+
+
+def compose(mode: str, d1: WDG, d2: WDG) -> ComposedResult:
     """The AND or OR composition of two graphs.
 
     Raises SizeBudgetExceededError, before building anything, when the
-    composite's associated matrix would exceed ``entry_budget`` entries.
+    composite would have more than VERTEX_LIMIT vertices.
     """
     _check_mode(mode)
-    size = (d1.dimension * d2.dimension) ** 2
-    if size > entry_budget:
+    n, m = d1.dimension, d2.dimension
+    if n * m > VERTEX_LIMIT:
         raise SizeBudgetExceededError(
-            f"composed matrix would have {clip(str(size), MAX_COUNT)} entries "
-            f"(budget {clip(str(entry_budget), MAX_COUNT)})"
+            f"composite of {_count(n)} x {_count(m)} vertices exceeds {VERTEX_LIMIT}"
         )
     return compose_and(d1, d2) if mode == AND else compose_or(d1, d2)
 
@@ -219,33 +221,27 @@ def product_assignment(a: Assignment, b: Assignment) -> Assignment:
     return tuple(x * y for x in full_a for y in full_b)[1:]
 
 
-def iterate_compose(
-    base: WDG,
-    depth: int,
-    mode: str,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> list:
+def iterate_compose(base: WDG, depth: int, mode: str) -> list:
     """Stages D_1 = base, D_{i+1} = compose(D_i, base), up to ``depth``.
 
-    Raises SizeBudgetExceededError before building any stage whose
-    associated matrix would exceed ``entry_budget`` entries.  A one-vertex
-    base never grows, so the budget cannot bound its depth; it gets the
-    depth a two-vertex base reaches, whose stage i has 4**i entries.
+    Raises SizeBudgetExceededError, before building any stage, when
+    ``depth`` exceeds MAX_DEPTH or the last stage would have more than
+    VERTEX_LIMIT vertices.  Depth 1 composes nothing, so its base may be
+    of any size; a one-vertex base never grows, so MAX_DEPTH bounds it.
     """
     _check_mode(mode)
     if depth < 1:
-        raise WdgError(f"depth must be >= 1, got {depth}")
-    if base.dimension == 1:
-        # floor(log4(budget)), and depth 1 composes nothing
-        reach = max(1, (max(entry_budget, 1).bit_length() - 1) // 2)
-        if depth > reach:
-            raise SizeBudgetExceededError(
-                f"depth {clip(str(depth), MAX_COUNT)} of a one-vertex base exceeds {reach}, "
-                f"the depth a two-vertex base reaches in budget {clip(str(entry_budget), MAX_COUNT)}"
-            )
+        raise WdgError(f"depth must be >= 1, got {_count(depth)}")
+    if depth > MAX_DEPTH:
+        raise SizeBudgetExceededError(f"depth {_count(depth)} exceeds {MAX_DEPTH}")
+    n = base.dimension
+    if depth > 1 and n**depth > VERTEX_LIMIT:
+        raise SizeBudgetExceededError(
+            f"stage {depth} of a base of {_count(n)} vertices would exceed {VERTEX_LIMIT} vertices"
+        )
     stages = [
         ComposedResult(wdg=base, shift=base.shift, predicted_l1=l1_norm(base), mode=mode)
     ]
     for _ in range(1, depth):
-        stages.append(compose(mode, stages[-1].wdg, base, entry_budget))
+        stages.append(compose(mode, stages[-1].wdg, base))
     return stages

@@ -45,8 +45,9 @@ class DegenerateGraphError(WdgError):
 
 
 class SizeBudgetExceededError(WdgError):
-    """A composition stage would exceed the configured entry budget, or a
-    graph has values too large for a graph document."""
+    """A composite, a graph family member or a certificate search would
+    exceed its fixed size limit, or a graph has values too large for a
+    graph document."""
 
 
 class EmptyTemplateError(WdgError):

@@ -5,7 +5,7 @@ import pytest
 
 from wdglab import (
     BadIndexError,
-    LimitExceededError,
+    CertificateComplexity,
     PartialBooleanFunction,
     SizeBudgetExceededError,
     and_family_table,
@@ -107,9 +107,13 @@ class TestAndFamilyWdg:
 
     def test_budget(self):
         with pytest.raises(SizeBudgetExceededError):
-            and_family_wdg(8, vertex_budget=100)
+            and_family_wdg(21)
         with pytest.raises(BadIndexError):
             and_family_wdg(0)
+
+    def test_huge_k_is_refused_before_the_shift(self):
+        with pytest.raises(SizeBudgetExceededError):
+            and_family_wdg(10**30)
 
 
 def naive_certificates(f):
@@ -169,8 +173,11 @@ class TestCertificateComplexity:
             assert (result.c0, result.c1, result.c) == naive_certificates(f)
 
     def test_arity_limit(self):
+        # the search budget |domain|**2 * 2**arity <= 2**26 is the only limit
         f = PartialBooleanFunction(arity=21, table={(1,) * 21: 1})
-        with pytest.raises(LimitExceededError):
+        assert certificate_complexity(f) == CertificateComplexity(c0=0, c1=0, c=0)
+        f = PartialBooleanFunction(arity=25, table={(1,) * 25: 1, (-1,) * 25: 0})
+        with pytest.raises(SizeBudgetExceededError):
             certificate_complexity(f)
 
     def test_table_validation(self):

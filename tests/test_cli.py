@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wdglab import PartialBooleanFunction, PartialFunctionSpec, and_family_table, build_wdg
+from wdglab import core
 from wdglab.cli import main
 from wdglab.documents import (
     parse_wdg_document,
@@ -240,15 +242,45 @@ class TestHugeInputs:
         # stage 1 could be written, but nothing is written once a stage cannot
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("budget", [[], ["--entry-budget", str(10**100)]])
-    def test_budget_error_stays_short(self, tmp_path, capsys, budget):
+    def test_budget_error_stays_short(self, tmp_path, capsys):
         path = self._graph_file(tmp_path, 10**30, [])
         out_dir = str(tmp_path / "stages")
-        code, captured, _ = self._run(["iterate", "and", path, "2", out_dir, *budget], capsys)
+        code, captured, _ = self._run(["iterate", "and", path, "2", out_dir], capsys)
         assert code == 3
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert len(captured.err.rstrip("\n")) <= 120
+
+    @pytest.mark.parametrize("command", [["compose", "and"], ["iterate", "or"]])
+    def test_limit_error_prints_no_power_of_the_dimension(self, tmp_path, capsys, command):
+        # (n*m)**2 would have 16000 digits, past what str() can print
+        a = self._graph_file(tmp_path, 10**3999, [], name="a.json")
+        b = self._graph_file(tmp_path, 10**3999 + 1, [], name="b.json")
+        out = tmp_path / "out"
+        args = [a, b, str(out)] if command[0] == "compose" else [a, "2", str(out)]
+        code, captured, _ = self._run([*command, *args], capsys)
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err.rstrip("\n")) <= 120
+        assert not out.exists()
+
+    def test_iterate_refuses_before_building(self, tmp_path, capsys, monkeypatch):
+        edges = [
+            {"u": u, "v": v, "w": "1/2"} for u, v in itertools.combinations(range(32), 2)
+        ]
+        path = self._graph_file(tmp_path, 32, edges)
+        builds = []
+        module = importlib.import_module("wdglab.compose")
+        build = module._build
+        monkeypatch.setattr(module, "_build", lambda *args: builds.append(1) or build(*args))
+        out_dir = tmp_path / "stages"
+        code, captured, _ = self._run(["iterate", "and", path, "3", str(out_dir)], capsys)
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not out_dir.exists()
+        assert builds == []
 
     @pytest.mark.parametrize("shift, depth", [("1/2", "100000000"), ("1", "20000")])
     def test_one_vertex_iterate_exits_3(self, tmp_path, capsys, shift, depth):
@@ -323,10 +355,21 @@ class TestCompose:
         assert "predicted_l1 = 5/6" in capsys.readouterr().out
 
     def test_budget_exits_3(self, pair_files, tmp_path):
+        # 3 x 342 = 1026 composite vertices, past the 1024-vertex limit
+        wide = tmp_path / "wide.json"
+        wide.write_text(serialize_wdg(build_wdg(342, [])))
         out = tmp_path / "never.json"
-        code = main(["compose", "and", *pair_files, str(out), "--entry-budget", "10"])
+        code = main(["compose", "and", pair_files[0], str(wide), str(out)])
         assert code == 3
         assert not out.exists()
+
+    def test_composite_is_built_once(self, pair_files, tmp_path, monkeypatch):
+        # the two factors' integer forms; actual_l1 needs no third
+        builds = []
+        scale = core.scale_to_integers
+        monkeypatch.setattr(core, "scale_to_integers", lambda v: builds.append(1) or scale(v))
+        assert main(["compose", "and", *pair_files, str(tmp_path / "and.json")]) == 0
+        assert len(builds) == 2
 
 
 class TestIterate:
@@ -343,10 +386,10 @@ class TestIterate:
             assert (out_dir / f"stage_{i}.json").exists()
 
     def test_budget_exits_3(self, pair_files, tmp_path):
-        code = main(
-            ["iterate", "and", pair_files[1], "4", str(tmp_path / "x"), "--entry-budget", "100"]
-        )
-        assert code == 3
+        # the last stage of a 3-vertex base at depth 7 has 2187 vertices
+        out_dir = tmp_path / "x"
+        assert main(["iterate", "and", pair_files[1], "7", str(out_dir)]) == 3
+        assert not out_dir.exists()
 
 
 class TestOptimize:
@@ -468,6 +511,14 @@ class TestCertificate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    def test_wide_two_point_table(self, tmp_path, capsys):
+        # arity 24, two points: 4 * 2**24 = 2**26 steps fit the search budget
+        table = {(1,) * 24: 1, (-1,) + (1,) * 23: 0}
+        path = tmp_path / "table.json"
+        path.write_text(serialize_function_table(PartialBooleanFunction(24, table)))
+        assert main(["certificate", str(path)]) == 0
+        assert capsys.readouterr().out == "c0 = 1\nc1 = 1\nc = 1\n"
 
 
 class TestCsopOrder:

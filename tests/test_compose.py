@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -287,19 +288,51 @@ class TestIterate:
         assert norms[0] == F(4, 3)
 
     def test_budget_enforced(self, pair_right):
+        # 3**7 = 2187 vertices in the last stage; 3**6 = 729 would fit
         with pytest.raises(SizeBudgetExceededError):
-            iterate_compose(pair_right, 3, "and", entry_budget=80)
+            iterate_compose(pair_right, 7, "and")
 
     def test_one_vertex_depth_is_bounded(self):
         base = build_wdg(1, [], shift=F(1, 2))
-        # the depth a two-vertex base reaches: 4**10 entries fit 2**20
+        # the depth a two-vertex base reaches: 2**10 vertices fit 1024
         stages = iterate_compose(base, 10, "and")
         assert [s.wdg.shift for s in stages] == [F(1, 2**i) for i in range(1, 11)]
+        for mode in ("and", "or"):
+            with pytest.raises(SizeBudgetExceededError):
+                iterate_compose(base, 11, mode)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_limits_on_empty_graphs(self, n):
+        base = build_wdg(n, [], shift=F(1, 2))
+        for m in range(1, 41):
+            other = build_wdg(m, [], shift=F(1, 3))
+            if n * m > 1024:
+                with pytest.raises(SizeBudgetExceededError):
+                    compose("and", base, other)
+            else:
+                assert compose("and", base, other).wdg.dimension == n * m
+        for depth in range(1, 13):
+            if depth > 10 or n**depth > 1024:
+                with pytest.raises(SizeBudgetExceededError):
+                    iterate_compose(base, depth, "or")
+            else:
+                assert len(iterate_compose(base, depth, "or")) == depth
+
+    def test_depth_one_composes_nothing(self):
+        base = build_wdg(2000, [], shift=F(1, 2))
+        assert [s.wdg for s in iterate_compose(base, 1, "and")] == [base]
+
+    def test_refused_before_any_stage_is_built(self, monkeypatch):
+        # stage 2 of a 32-vertex base has 1024 vertices and fits; stage 3 does not
+        edges = [(u, v, F(1, 2)) for u, v in itertools.combinations(range(32), 2)]
+        base = build_wdg(32, edges)
+        module = importlib.import_module("wdglab.compose")
+        builds = []
+        build = module._build
+        monkeypatch.setattr(module, "_build", lambda *args: builds.append(1) or build(*args))
         with pytest.raises(SizeBudgetExceededError):
-            iterate_compose(base, 11, "and")
-        assert len(iterate_compose(base, 2, "or", entry_budget=16)) == 2
-        with pytest.raises(SizeBudgetExceededError):
-            iterate_compose(base, 3, "or", entry_budget=16)
+            iterate_compose(base, 3, "and")
+        assert builds == []
 
     def test_bad_depth(self, pair_right):
         with pytest.raises(WdgError):
