@@ -255,6 +255,8 @@ def parse_function_document(text: str) -> PartialBooleanFunction:
     document = _load(text)
     _expect_keys(document, ("format_version", "arity", "points"))
     arity = _int_field(document["arity"], "arity")
+    if arity < 0:
+        raise DocumentError(f"arity must be non-negative, got {_echo(arity)}")
     points = _parse_points(document["points"], arity)
     table = {}
     for x, value in points:

@@ -17,9 +17,11 @@ ratio (maximize_l1), or those divided by the ratio, with objective =
 exact check is scale-invariant and a < b exactly when 1/a > 1/b for a, b > 0.
 
 Search runs in floating point; every candidate is snapped to
-small-denominator rationals and checked exactly on its weights scaled
-to their common denominator: one integer cube scan gives the spread,
-and integer dot products give the graph value at the target points.
+common-denominator grids and checked exactly as an integer direction
+(the weights times the grid's denominator): one integer cube scan gives
+the spread, and integer dot products give the graph value at the target
+points.  The check is scale-free, so each chain checks a direction, its
+weights divided by their gcd, at most once.
 The returned result is re-verified independently in Fraction
 arithmetic through the oracle's ``extrema`` and ``evaluate``.  A result
 is only ever returned with its constraints holding exactly in rational
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -43,13 +46,14 @@ from .core import (
     check_assignment,
     evaluate,
     l1_norm,
-    scale_to_integers,
 )
 from .errors import (
     DegenerateGraphError,
     EmptyTemplateError,
     InfeasibleError,
     LimitExceededError,
+    SizeBudgetExceededError,
+    clip,
 )
 from .oracle import _sign_table, approximation_error, delta_exact, extrema, scan_cube
 
@@ -58,6 +62,7 @@ MINIMIZE = "minimize_delta"
 
 SNAP_DENOMINATOR = 1 << 16
 ENUMERATION_LIMIT = 16  # the cube sign matrix has 2^n rows; keep it desk-scale
+MAX_PROPOSALS = 10_000_000  # budget x chains, 100x the default
 _PENALTY = 1e4
 
 
@@ -160,24 +165,29 @@ def _sign_columns(dimension: int, pairs, assignments) -> np.ndarray:
 @dataclass
 class _Candidate:
     ratio: Fraction  # sum |w| / spread, the same at every scale
-    weights: tuple  # one Fraction per template pair, scaled to unit spread
+    ints: tuple  # the integer weights checked, one per template pair
+    spread: int  # max g - min g for the weights ``ints``
     c: Fraction
+
+    @property
+    def weights(self) -> tuple:
+        """One Fraction per template pair, scaled to unit spread."""
+        return tuple(Fraction(w, self.spread) for w in self.ints)
 
 
 def _exact_candidate(
-    spec: PartialFunctionSpec, pairs, weights, sign_points: np.ndarray
+    spec: PartialFunctionSpec, pairs, ints, sign_points: np.ndarray
 ) -> Optional[_Candidate]:
-    """Exactly rescale weights to unit spread and check the epsilon band.
+    """Exactly check the integer weights ``ints`` against the epsilon band.
 
     Returns None when the candidate is degenerate or misses the epsilon
-    band; otherwise the unit-spread weights, the exact ratio and the
-    optimal constant C.  Nothing here depends on the scale of ``weights``.
+    band; otherwise the exact ratio, the spread and the optimal constant
+    C.  Nothing here depends on the scale of ``ints``: k * ints, for any
+    k >= 1, gives the same ratio, unit-spread weights and C.
 
-    The weights are scaled to integers by their common denominator D,
-    so one cube scan gives D * spread and the rows of ``sign_points``
-    give D * g at the target points; every test below is on integers.
+    One cube scan gives the spread, and the rows of ``sign_points`` give
+    g at the target points; every test below is on integers.
     """
-    _, ints = scale_to_integers(weights)
     l1 = sum(map(abs, ints))
     int_edges = [(u, v, w) for (u, v), w in zip(pairs, ints)]
     best, _, worst, _ = scan_cube(spec.dimension - 1, int_edges, l1)
@@ -185,7 +195,7 @@ def _exact_candidate(
     if spread == 0:  # only all-zero weights leave g constant
         return None
     if spec.points:
-        # spread * (t - g(x) / delta) for the true spread delta = spread / D
+        # spread * (t - g(x) / spread), with g(x) from the integer weights
         gaps = [
             t * spread - sum(map(mul, row, ints))
             for (_, t), row in zip(spec.points, sign_points.tolist())
@@ -197,9 +207,30 @@ def _exact_candidate(
         c = Fraction(hi + lo, 2 * spread)
     else:
         c = Fraction(-worst, spread)
-    return _Candidate(
-        ratio=Fraction(l1, spread), weights=tuple(Fraction(w, spread) for w in ints), c=c
-    )
+    return _Candidate(ratio=Fraction(l1, spread), ints=tuple(ints), spread=spread, c=c)
+
+
+def _chain_check(spec: PartialFunctionSpec, pairs, sign_points: np.ndarray):
+    """The exact check of one chain, skipping directions it has checked.
+
+    A direction is integer weights divided by their gcd.  A repeated
+    direction has the ratio it had when first checked, which did not beat
+    the chain's best then; the best only increases, so the repeat cannot
+    beat it now, and the check returns None without a scan.
+    """
+    seen = set()
+
+    def check(ints) -> Optional[_Candidate]:
+        divisor = gcd(*ints)
+        if divisor == 0:  # all zero: g is constant
+            return None
+        direction = tuple(w // divisor for w in ints)
+        if direction in seen:
+            return None
+        seen.add(direction)
+        return _exact_candidate(spec, pairs, direction, sign_points)
+
+    return check
 
 
 _SNAP_GRIDS = (8, 16, 64, 256, 4096, SNAP_DENOMINATOR)
@@ -207,41 +238,35 @@ _SNAP_GRIDS = (8, 16, 64, 256, 4096, SNAP_DENOMINATOR)
 
 def _snap_grids(weights: np.ndarray):
     """Round the float weights onto successively finer common-denominator
-    grids.  A shared denominator keeps the exact delta-normalization
-    small: if every weight is a/D then the spread is m/D and the
-    normalized weights are plain a/m."""
+    grids D, as the integer weights round(w * D).  A shared denominator
+    keeps the exact delta-normalization small: if every weight is a/D
+    then the spread is m/D and the normalized weights are plain a/m."""
+    weights = weights.tolist()
     for denominator in _SNAP_GRIDS:
-        yield [
-            Fraction(round(float(w) * denominator), denominator) if abs(w) > 1e-9 else Fraction(0)
-            for w in weights
-        ]
+        yield [round(w * denominator) if abs(w) > 1e-9 else 0 for w in weights]
 
 
-_POLISH_FACTORS = (
-    Fraction(2),
-    Fraction(3, 2),
-    Fraction(5, 4),
-    Fraction(1, 2),
-    Fraction(2, 3),
-    Fraction(4, 5),
-)
+# (p, q): rescale one weight by p/q
+_POLISH_FACTORS = ((2, 1), (3, 2), (5, 4), (1, 2), (2, 3), (4, 5))
 
 
-def _polish(
-    spec: PartialFunctionSpec, pairs, candidate: _Candidate, sign_points: np.ndarray
-) -> _Candidate:
+def _polish(candidate: _Candidate, check) -> _Candidate:
     """Coordinate descent with the sign pattern frozen: rescale one weight
-    at a time by fixed rational factors, keeping exact-feasible improvements."""
+    at a time by fixed rational factors, keeping exact-feasible improvements.
+
+    The factor p/q on weight i is tried as q * ints with ints[i] * p, which
+    has the same direction as the rescaled weights.
+    """
     best = candidate
     for _ in range(2):
         improved = False
-        for i in range(len(pairs)):
-            if best.weights[i] == 0:
+        for i in range(len(best.ints)):
+            if best.ints[i] == 0:
                 continue
-            for factor in _POLISH_FACTORS:
-                trial = list(best.weights)
-                trial[i] *= factor
-                result = _exact_candidate(spec, pairs, trial, sign_points)
+            for p, q in _POLISH_FACTORS:
+                trial = [q * w for w in best.ints]
+                trial[i] = best.ints[i] * p
+                result = check(trial)
                 if result is not None and result.ratio > best.ratio:
                     best = result
                     improved = True
@@ -252,19 +277,15 @@ def _polish(
 
 
 def _warm_starts(spec: PartialFunctionSpec, pairs, sign_points) -> list:
-    """Exact starting weight vectors: the uniform split and, when target
+    """Integer starting directions: the uniform split and, when target
     points exist, weights aligned with the target signs (the sign of
     sum over points of (2t - 1) * s(e, x))."""
-    m = len(pairs)
-    starts = [[Fraction(1, m)] * m]
+    starts = [[1] * len(pairs)]
     if spec.points:
         signed = np.array([2 * t - 1 for _, t in spec.points], dtype=np.int64)
         correlation = sign_points.astype(np.int64).T @ signed
-        support = int(np.count_nonzero(correlation))
-        if support:
-            starts.append(
-                [Fraction(int(np.sign(c)), support) for c in correlation]
-            )
+        if np.count_nonzero(correlation):
+            starts.append(np.sign(correlation).tolist())
     return starts
 
 
@@ -273,81 +294,88 @@ def _anneal_chain(
     pairs,
     budget: int,
     seed: int,
-    sign_cube: np.ndarray,
+    cube: np.ndarray,
     sign_points: np.ndarray,
 ) -> tuple:
     """One annealing chain; returns (best exact candidate or None, iterations).
 
-    ``sign_cube`` and ``sign_points`` are the sign columns of the whole
-    cube and of the target points, built once per solve.
+    ``cube`` holds the sign columns of the whole cube as float64, for the
+    score only, and ``sign_points`` the int8 sign columns of the target
+    points; both are built once per solve.
     """
     rng = np.random.default_rng(seed)
+    integers, uniform, normal = rng.integers, rng.random, rng.normal
+    maximum, minimum, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+    m = len(pairs)
     targets = np.array([t for _, t in spec.points], dtype=np.float64)
-    eps = float(spec.epsilon)
+    points = sign_points.astype(np.float64)
+    band = 2.0 * float(spec.epsilon)
 
-    def score(w: np.ndarray) -> float:
-        g = sign_cube @ w
-        spread = g.max() - g.min()
+    def score(w: np.ndarray) -> tuple:
+        """(penalized objective, sum |w|) of the float weights w."""
+        l1 = float(add(np.abs(w)))
+        g = cube @ w
+        spread = float(maximum(g)) - float(minimum(g))
         if spread < 1e-12:
-            return -1e18
-        objective = np.abs(w).sum() / spread
+            return -1e18, l1
+        objective = l1 / spread
         if len(targets):
-            v = targets - (sign_points @ w) / spread
-            violation = max(0.0, (v.max() - v.min()) - 2.0 * eps)
+            v = targets - (points @ w) / spread
+            violation = max(0.0, (float(maximum(v)) - float(minimum(v))) - band)
         else:
             violation = 0.0
-        return objective - _PENALTY * violation
+        return objective - _PENALTY * violation, l1
 
+    check = _chain_check(spec, pairs, sign_points)
     best_exact: Optional[_Candidate] = None
 
-    def consider(weights) -> None:
+    def consider(ints) -> None:
         nonlocal best_exact
-        candidate = _exact_candidate(spec, pairs, weights, sign_points)
+        candidate = check(ints)
         if candidate is not None and (best_exact is None or candidate.ratio > best_exact.ratio):
             best_exact = candidate
 
     def try_snap(w: np.ndarray) -> None:
-        for grid in _snap_grids(w):
-            consider(grid)
+        for ints in _snap_grids(w):
+            consider(ints)
 
-    exact_starts = _warm_starts(spec, pairs, sign_points)
     starts = []
-    for exact in exact_starts:
-        consider(exact)
-        starts.append(np.array([float(x) for x in exact]))
-    current = max(starts, key=score).copy()
-    current_score = score(current)
+    for ints in _warm_starts(spec, pairs, sign_points):
+        consider(ints)
+        starts.append(np.array(ints) / sum(map(abs, ints)))
+    current = max(starts, key=lambda w: score(w)[0]).copy()
+    current_score, current_l1 = score(current)
+    step = 0.25 * max(current_l1 / m, 0.05)
     best_float = current.copy()
     best_float_score = current_score
     last_snapped_score = current_score
 
     t_start, t_end = 0.5, 1e-4
+    decay, span = t_end / t_start, max(budget - 1, 1)
     check_interval = max(1, budget // 256)
-    iterations = 0
     for it in range(budget):
-        iterations = it + 1
-        temperature = t_start * (t_end / t_start) ** (it / max(budget - 1, 1))
+        temperature = t_start * decay ** (it / span)
         proposal = current.copy()
-        i = int(rng.integers(len(pairs)))
-        kind = rng.random()
+        i = integers(m)
+        kind = uniform()
         if kind < 0.70:
-            step = 0.25 * max(float(np.abs(current).mean()), 0.05)
-            proposal[i] += rng.normal(0.0, step)
+            proposal[i] += normal(0.0, step)
         elif kind < 0.85:
             proposal[i] = -proposal[i]
         elif kind < 0.95:
             proposal[i] = 0.0
         else:
-            proposal[i] += rng.normal(0.0, 1.0)
-        total = np.abs(proposal).sum()
+            proposal[i] += normal(0.0, 1.0)
+        total = add(np.abs(proposal))
         if total < 1e-12:
             continue
         proposal /= total
-        proposal_score = score(proposal)
-        if proposal_score >= current_score or rng.random() < np.exp(
+        proposal_score, proposal_l1 = score(proposal)
+        if proposal_score >= current_score or uniform() < np.exp(
             (proposal_score - current_score) / temperature
         ):
             current, current_score = proposal, proposal_score
+            step = 0.25 * max(proposal_l1 / m, 0.05)
             if current_score > best_float_score:
                 best_float, best_float_score = current.copy(), current_score
         if (it + 1) % check_interval == 0 and best_float_score > last_snapped_score + 1e-12:
@@ -355,8 +383,8 @@ def _anneal_chain(
             last_snapped_score = best_float_score
     try_snap(best_float)
     if best_exact is not None:
-        best_exact = _polish(spec, pairs, best_exact, sign_points)
-    return best_exact, iterations
+        best_exact = _polish(best_exact, check)
+    return best_exact, max(budget, 0)
 
 
 def _oracle_verified(wdg: WDG, spec: PartialFunctionSpec, c: Fraction, mode: str) -> bool:
@@ -389,16 +417,23 @@ def _solve(
         raise LimitExceededError(
             f"{n} free coordinates exceed the optimizer's search limit {ENUMERATION_LIMIT}"
         )
+    chains = max(1, chains)
+    if budget * chains > MAX_PROPOSALS:
+        raise SizeBudgetExceededError(
+            f"budget {clip(str(budget), 40)} x chains {clip(str(chains), 40)} exceeds "
+            f"the optimizer's limit of {MAX_PROPOSALS} proposals"
+        )
     pairs = _canonical_template(template, spec.dimension)
     _check_provably_feasible(spec)
-    # the whole cube, one assignment per row, in lexicographic order
-    sign_cube = _sign_columns(spec.dimension, pairs, _sign_table(n)[1:].T)
+    # the whole cube, one assignment per row, in lexicographic order; float64
+    # because only the annealer's score reads it
+    cube = _sign_columns(spec.dimension, pairs, _sign_table(n)[1:].T).astype(np.float64)
     sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
     best: Optional[_Candidate] = None
     best_iterations = 0
-    for chain in range(max(1, chains)):
+    for chain in range(chains):
         candidate, iterations = _anneal_chain(
-            spec, pairs, budget, seed + chain, sign_cube, sign_points
+            spec, pairs, budget, seed + chain, cube, sign_points
         )
         if candidate is not None and (best is None or candidate.ratio > best.ratio):
             best = candidate

@@ -491,6 +491,21 @@ class TestOptimize:
         assert len(captured.err.splitlines()) == 1
         assert option[0] in captured.err
 
+    @pytest.mark.parametrize(
+        "option", [["--budget", "1000000000000"], ["--chains", "1000000000"]]
+    )
+    def test_proposal_limit_exits_3(self, target_file, tmp_path, capsys, option):
+        out = tmp_path / "found.json"
+        start = time.perf_counter()
+        code = main(["optimize", "maximize_l1", target_file, *option, "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "10000000 proposals" in captured.err
+        assert not out.exists()
+
 
 class TestCertificate:
     def test_and_family(self, tmp_path, capsys):
@@ -519,6 +534,14 @@ class TestCertificate:
         path.write_text(serialize_function_table(PartialBooleanFunction(24, table)))
         assert main(["certificate", str(path)]) == 0
         assert capsys.readouterr().out == "c0 = 1\nc1 = 1\nc = 1\n"
+
+    def test_negative_arity_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"format_version": 1, "arity": -1, "points": []}))
+        assert main(["certificate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: arity must be non-negative, got -1\n"
 
 
 class TestCsopOrder:

@@ -51,7 +51,7 @@ NON_INTS = [True, False, 1.0, 2.5, NAN, "1", "x", None, [], {}, BIG, NEST]
 BAD = {
     "format_version": NON_INTS,
     "dimension": NON_INTS,
-    "arity": NON_INTS,
+    "arity": NON_INTS + [-1],
     "u": NON_INTS + [-1, 6, 13, 10**30],  # out of range for dimension 6
     "v": NON_INTS + [-1, 6, 13, 10**30],
     "shift": [True, False, 0.5, NAN, "x", "1/0", "", "1/2/3", None, [], BIG, NEST],
