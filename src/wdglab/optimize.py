@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from operator import mul
 from typing import Optional, Sequence
 
@@ -55,7 +55,7 @@ from .errors import (
     SizeBudgetExceededError,
     clip,
 )
-from .oracle import _sign_table, approximation_error, delta_exact, extrema, scan_cube
+from .oracle import _sign_table, approximation_error, delta_exact, extrema, scan_range
 
 MAXIMIZE = "maximize_l1"
 MINIMIZE = "minimize_delta"
@@ -63,7 +63,10 @@ MINIMIZE = "minimize_delta"
 SNAP_DENOMINATOR = 1 << 16
 ENUMERATION_LIMIT = 16  # the cube sign matrix has 2^n rows; keep it desk-scale
 MAX_PROPOSALS = 10_000_000  # budget x chains, 100x the default
-_PENALTY = 1e4
+_PENALTY = 1e2
+_DRAW_BLOCK = 1024  # proposals whose random draws are made in one call each
+_maximum, _minimum = np.maximum.reduce, np.minimum.reduce
+_multiply, _add = np.multiply, np.add
 
 
 @dataclass(frozen=True)
@@ -152,14 +155,31 @@ def _check_provably_feasible(spec: PartialFunctionSpec) -> None:
 
 
 def _sign_columns(dimension: int, pairs, assignments) -> np.ndarray:
-    """Rows: assignments; columns: template edges; entries: x_u * x_v."""
+    """Rows: assignments; columns: template edges; entries: x_u * x_v.
+
+    Each column is contiguous: the array is the transpose of a pair-major one.
+    """
     rows = np.asarray(assignments, dtype=np.int8).reshape(len(assignments), dimension - 1)
     ones = np.ones(len(assignments), dtype=np.int8)
 
     def coord(i):
         return ones if i == 0 else rows[:, i - 1]
 
-    return np.stack([coord(u) * coord(v) for u, v in pairs], axis=1)
+    return np.stack([coord(u) * coord(v) for u, v in pairs]).T
+
+
+def _score_columns(spec: PartialFunctionSpec, pairs) -> tuple:
+    """(float64 columns, int8 sign_points) of one solve.
+
+    Row i of ``columns`` holds template pair i's signs at every cube point,
+    in lexicographic order, and then at the target points; the annealer's
+    score reads only these.  ``sign_points`` holds the target points' rows
+    for the exact checks.
+    """
+    n = spec.dimension - 1
+    targets = np.asarray([x for x, _ in spec.points], dtype=np.int8).reshape(-1, n)
+    signs = _sign_columns(spec.dimension, pairs, np.concatenate([_sign_table(n)[1:].T, targets]))
+    return signs.T.astype(np.float64), signs[len(signs) - len(targets) :]
 
 
 @dataclass
@@ -190,7 +210,7 @@ def _exact_candidate(
     """
     l1 = sum(map(abs, ints))
     int_edges = [(u, v, w) for (u, v), w in zip(pairs, ints)]
-    best, _, worst, _ = scan_cube(spec.dimension - 1, int_edges, l1)
+    best, worst = scan_range(spec.dimension - 1, int_edges, l1)
     spread = best - worst
     if spread == 0:  # only all-zero weights leave g constant
         return None
@@ -236,12 +256,12 @@ def _chain_check(spec: PartialFunctionSpec, pairs, sign_points: np.ndarray):
 _SNAP_GRIDS = (8, 16, 64, 256, 4096, SNAP_DENOMINATOR)
 
 
-def _snap_grids(weights: np.ndarray):
-    """Round the float weights onto successively finer common-denominator
-    grids D, as the integer weights round(w * D).  A shared denominator
-    keeps the exact delta-normalization small: if every weight is a/D
-    then the spread is m/D and the normalized weights are plain a/m."""
-    weights = weights.tolist()
+def _snap_grids(weights: list):
+    """Round the float weights, of sum |w| = 1, onto successively finer
+    common-denominator grids D, as the integer weights round(w * D).  A
+    shared denominator keeps the exact delta-normalization small: if every
+    weight is a/D then the spread is m/D and the normalized weights are
+    plain a/m."""
     for denominator in _SNAP_GRIDS:
         yield [round(w * denominator) if abs(w) > 1e-9 else 0 for w in weights]
 
@@ -289,43 +309,106 @@ def _warm_starts(spec: PartialFunctionSpec, pairs, sign_points) -> list:
     return starts
 
 
+class _Carried:
+    """One chain's float weights w and the sums its score reads, carried
+    across one-weight moves.
+
+    ``h`` is w @ columns: g = cube . w at every cube point in its first
+    ``size`` entries, then P . w at the target points; ``l1`` is sum |w|.
+    Moving weight i by delta adds delta times row i of ``columns`` to h,
+    one vector update where a from-scratch score multiplies the whole cube.
+
+    The score, l1 / spread less the penalized band violation, does not
+    depend on the scale of w, so no move normalizes w.  ``accept`` rescales
+    w to sum |w| = 1, recomputing h and l1, when l1 leaves (1/2, 2); that
+    also bounds the rounding the carried sums collect.
+    """
+
+    def __init__(self, columns: np.ndarray, spec: PartialFunctionSpec):
+        self.columns = columns
+        self.rows = list(columns)
+        self.size = columns.shape[1] - len(spec.points)
+        self.targets = [float(t) for _, t in spec.points]
+        self.band = 2.0 * float(spec.epsilon)
+        self.w = [0.0] * len(columns)
+        self.l1 = 0.0
+        self.now, self.next = self._buffer(), self._buffer()
+        self.move = None
+
+    def _buffer(self) -> tuple:
+        """(h, its g view, its target-point view)."""
+        h = np.empty(self.columns.shape[1])
+        return h, h[: self.size], h[self.size :]
+
+    def reset(self, weights) -> float:
+        """Set w in place, recompute h and l1 from scratch, and return
+        the score."""
+        self.w[:] = weights
+        self.l1 = sum(map(abs, self.w))
+        h, g, points = self.now
+        np.dot(np.asarray(self.w), self.columns, out=h)
+        return self._score(g, points, self.l1, -inf)
+
+    def weights(self) -> list:
+        """w scaled to sum |w| = 1."""
+        return [x / self.l1 for x in self.w]
+
+    def trial(self, i: int, new: float, bar: float) -> Optional[float]:
+        """The score of w with w[i] = new, or None when it is below ``bar``
+        or every weight would be zero."""
+        old = self.w[i]
+        l1 = self.l1 - abs(old) + abs(new)
+        if l1 < 1e-12 * self.l1:
+            return None
+        h, g, points = self.next
+        _multiply(self.rows[i], new - old, out=h)
+        _add(h, self.now[0], out=h)
+        self.move = i, new, l1
+        return self._score(g, points, l1, bar)
+
+    def accept(self) -> None:
+        """Make the last trial the current state."""
+        i, new, l1 = self.move
+        self.w[i] = new
+        self.l1 = l1
+        self.now, self.next = self.next, self.now
+        if not 0.5 < l1 < 2.0:
+            self.reset(self.weights())
+
+    def _score(self, g, points, l1: float, bar: float) -> Optional[float]:
+        spread = float(_maximum(g)) - float(_minimum(g))
+        if spread <= 1e-12 * l1:
+            score = -1e18
+        else:
+            score = l1 / spread
+            # the penalty only lowers the score, so a score already below
+            # the bar needs no penalty
+            if score >= bar and self.targets:
+                gaps = [t * spread - p for t, p in zip(self.targets, points.tolist())]
+                violation = (max(gaps) - min(gaps)) / spread - self.band
+                if violation > 0:
+                    score -= _PENALTY * violation
+        return score if score >= bar else None
+
+
 def _anneal_chain(
     spec: PartialFunctionSpec,
     pairs,
     budget: int,
     seed: int,
-    cube: np.ndarray,
+    columns: np.ndarray,
     sign_points: np.ndarray,
 ) -> tuple:
     """One annealing chain; returns (best exact candidate or None, iterations).
 
-    ``cube`` holds the sign columns of the whole cube as float64, for the
-    score only, and ``sign_points`` the int8 sign columns of the target
-    points; both are built once per solve.
+    ``columns`` and ``sign_points`` are those of :func:`_score_columns`,
+    built once per solve.  The random draws of each block of proposals
+    are made at once.  A proposal is accepted when its score is at least
+    the current score plus T log u, for u uniform on (0, 1]: the
+    Metropolis rule, with probability min(1, exp(change / T)).
     """
     rng = np.random.default_rng(seed)
-    integers, uniform, normal = rng.integers, rng.random, rng.normal
-    maximum, minimum, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
     m = len(pairs)
-    targets = np.array([t for _, t in spec.points], dtype=np.float64)
-    points = sign_points.astype(np.float64)
-    band = 2.0 * float(spec.epsilon)
-
-    def score(w: np.ndarray) -> tuple:
-        """(penalized objective, sum |w|) of the float weights w."""
-        l1 = float(add(np.abs(w)))
-        g = cube @ w
-        spread = float(maximum(g)) - float(minimum(g))
-        if spread < 1e-12:
-            return -1e18, l1
-        objective = l1 / spread
-        if len(targets):
-            v = targets - (points @ w) / spread
-            violation = max(0.0, (float(maximum(v)) - float(minimum(v))) - band)
-        else:
-            violation = 0.0
-        return objective - _PENALTY * violation, l1
-
     check = _chain_check(spec, pairs, sign_points)
     best_exact: Optional[_Candidate] = None
 
@@ -335,52 +418,52 @@ def _anneal_chain(
         if candidate is not None and (best_exact is None or candidate.ratio > best_exact.ratio):
             best_exact = candidate
 
-    def try_snap(w: np.ndarray) -> None:
+    def try_snap(w: list) -> None:
         for ints in _snap_grids(w):
             consider(ints)
 
     starts = []
     for ints in _warm_starts(spec, pairs, sign_points):
         consider(ints)
-        starts.append(np.array(ints) / sum(map(abs, ints)))
-    current = max(starts, key=lambda w: score(w)[0]).copy()
-    current_score, current_l1 = score(current)
-    step = 0.25 * max(current_l1 / m, 0.05)
-    best_float = current.copy()
-    best_float_score = current_score
+        total = sum(map(abs, ints))
+        starts.append([w / total for w in ints])
+    chain = _Carried(columns, spec)
+    # reset returns the score of the weights it sets
+    current_score = chain.reset(max(starts, key=chain.reset))
+    best_float, best_float_score = chain.weights(), current_score
     last_snapped_score = current_score
+    w, trial, accept = chain.w, chain.trial, chain.accept
+    step = 0.25 * max(1 / m, 0.05)  # of sum |w|
 
     t_start, t_end = 0.5, 1e-4
     decay, span = t_end / t_start, max(budget - 1, 1)
     check_interval = max(1, budget // 256)
-    for it in range(budget):
-        temperature = t_start * decay ** (it / span)
-        proposal = current.copy()
-        i = integers(m)
-        kind = uniform()
-        if kind < 0.70:
-            proposal[i] += normal(0.0, step)
-        elif kind < 0.85:
-            proposal[i] = -proposal[i]
-        elif kind < 0.95:
-            proposal[i] = 0.0
-        else:
-            proposal[i] += normal(0.0, 1.0)
-        total = add(np.abs(proposal))
-        if total < 1e-12:
-            continue
-        proposal /= total
-        proposal_score, proposal_l1 = score(proposal)
-        if proposal_score >= current_score or uniform() < np.exp(
-            (proposal_score - current_score) / temperature
-        ):
-            current, current_score = proposal, proposal_score
-            step = 0.25 * max(proposal_l1 / m, 0.05)
-            if current_score > best_float_score:
-                best_float, best_float_score = current.copy(), current_score
-        if (it + 1) % check_interval == 0 and best_float_score > last_snapped_score + 1e-12:
-            try_snap(best_float)
-            last_snapped_score = best_float_score
+    for first in range(0, budget, _DRAW_BLOCK):
+        its = np.arange(first, min(first + _DRAW_BLOCK, budget))
+        picks = rng.integers(m, size=len(its)).tolist()
+        kinds = rng.random(len(its)).tolist()
+        normals = rng.standard_normal(len(its)).tolist()
+        temperatures = t_start * decay ** (its / span)
+        slacks = (temperatures * np.log1p(-rng.random(len(its)))).tolist()
+        for it, i, kind, z, slack in zip(its.tolist(), picks, kinds, normals, slacks):
+            old = w[i]
+            if kind < 0.70:
+                new = old + z * step * chain.l1
+            elif kind < 0.85:
+                new = -old
+            elif kind < 0.95:
+                new = 0.0
+            else:
+                new = old + z * chain.l1
+            score = trial(i, new, current_score + slack)
+            if score is not None:
+                accept()
+                current_score = score
+                if score > best_float_score:
+                    best_float, best_float_score = chain.weights(), score
+            if (it + 1) % check_interval == 0 and best_float_score > last_snapped_score + 1e-12:
+                try_snap(best_float)
+                last_snapped_score = best_float_score
     try_snap(best_float)
     if best_exact is not None:
         best_exact = _polish(best_exact, check)
@@ -425,15 +508,12 @@ def _solve(
         )
     pairs = _canonical_template(template, spec.dimension)
     _check_provably_feasible(spec)
-    # the whole cube, one assignment per row, in lexicographic order; float64
-    # because only the annealer's score reads it
-    cube = _sign_columns(spec.dimension, pairs, _sign_table(n)[1:].T).astype(np.float64)
-    sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
+    columns, sign_points = _score_columns(spec, pairs)
     best: Optional[_Candidate] = None
     best_iterations = 0
     for chain in range(chains):
         candidate, iterations = _anneal_chain(
-            spec, pairs, budget, seed + chain, cube, sign_points
+            spec, pairs, budget, seed + chain, columns, sign_points
         )
         if candidate is not None and (best is None or candidate.ratio > best.ratio):
             best = candidate
