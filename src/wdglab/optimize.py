@@ -17,11 +17,13 @@ ratio (maximize_l1), or those divided by the ratio, with objective =
 exact check is scale-invariant and a < b exactly when 1/a > 1/b for a, b > 0.
 
 Search runs in floating point; every candidate is snapped to
-common-denominator grids and checked exactly as an integer direction
-(the weights times the grid's denominator): one integer cube scan gives
-the spread, and integer dot products give the graph value at the target
-points.  The check is scale-free, so each chain checks a direction, its
-weights divided by their gcd, at most once.
+common-denominator grids and checked exactly as integer weights (the
+weights times the grid's denominator).  The score and the check read one
+sign matrix per solve: one product of the integer weights with it gives
+g at every cube point and every target point.  The product runs in
+float64 while sum |w| < 2**53, where every partial sum is an integer
+float64 holds exactly, and in Python ints past that.  The snap grids of
+one candidate, and the polish factors of one weight, share one product.
 The returned result is re-verified independently in Fraction
 arithmetic through the oracle's ``extrema`` and ``evaluate``.  A result
 is only ever returned with its constraints holding exactly in rational
@@ -33,8 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
-from operator import mul
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ from .errors import (
     SizeBudgetExceededError,
     clip,
 )
-from .oracle import _sign_table, approximation_error, delta_exact, extrema, scan_range
+from .oracle import _sign_table, approximation_error, delta_exact, extrema
 
 MAXIMIZE = "maximize_l1"
 MINIMIZE = "minimize_delta"
@@ -154,32 +155,18 @@ def _check_provably_feasible(spec: PartialFunctionSpec) -> None:
             )
 
 
-def _sign_columns(dimension: int, pairs, assignments) -> np.ndarray:
-    """Rows: assignments; columns: template edges; entries: x_u * x_v.
+def _score_columns(spec: PartialFunctionSpec, pairs) -> np.ndarray:
+    """The float64 signs x_u * x_v of one solve, one contiguous row per pair.
 
-    Each column is contiguous: the array is the transpose of a pair-major one.
+    Row i holds template pair i's signs at every cube point, in
+    lexicographic order, and then at the target points.  The annealer's
+    score, the exact checks and the warm starts all read this one matrix.
     """
-    rows = np.asarray(assignments, dtype=np.int8).reshape(len(assignments), dimension - 1)
-    ones = np.ones(len(assignments), dtype=np.int8)
-
-    def coord(i):
-        return ones if i == 0 else rows[:, i - 1]
-
-    return np.stack([coord(u) * coord(v) for u, v in pairs]).T
-
-
-def _score_columns(spec: PartialFunctionSpec, pairs) -> tuple:
-    """(float64 columns, int8 sign_points) of one solve.
-
-    Row i of ``columns`` holds template pair i's signs at every cube point,
-    in lexicographic order, and then at the target points; the annealer's
-    score reads only these.  ``sign_points`` holds the target points' rows
-    for the exact checks.
-    """
-    n = spec.dimension - 1
-    targets = np.asarray([x for x, _ in spec.points], dtype=np.int8).reshape(-1, n)
-    signs = _sign_columns(spec.dimension, pairs, np.concatenate([_sign_table(n)[1:].T, targets]))
-    return signs.T.astype(np.float64), signs[len(signs) - len(targets) :]
+    targets = np.asarray([(1,) + x for x, _ in spec.points], dtype=np.int8)
+    targets = targets.reshape(-1, spec.dimension).T
+    signs = np.concatenate([_sign_table(spec.dimension - 1), targets], axis=1)
+    u, v = np.asarray(pairs).T
+    return (signs[u] * signs[v]).astype(np.float64)
 
 
 @dataclass
@@ -195,31 +182,44 @@ class _Candidate:
         return tuple(Fraction(w, self.spread) for w in self.ints)
 
 
-def _exact_candidate(
-    spec: PartialFunctionSpec, pairs, ints, sign_points: np.ndarray
-) -> Optional[_Candidate]:
-    """Exactly check the integer weights ``ints`` against the epsilon band.
+def _exact_candidates(spec: PartialFunctionSpec, batch: list, columns: np.ndarray) -> list:
+    """Exactly check each row of integer weights in ``batch`` against the
+    epsilon band.
 
-    Returns None when the candidate is degenerate or misses the epsilon
-    band; otherwise the exact ratio, the spread and the optimal constant
-    C.  Nothing here depends on the scale of ``ints``: k * ints, for any
-    k >= 1, gives the same ratio, unit-spread weights and C.
+    Each entry is None when its row is degenerate or misses the epsilon
+    band; otherwise the row's exact ratio, spread and optimal constant C.
+    Nothing here depends on the scale of a row: k * ints, for any k >= 1,
+    gives the same ratio, unit-spread weights and C.
 
-    One cube scan gives the spread, and the rows of ``sign_points`` give
-    g at the target points; every test below is on integers.
+    One product of the rows with ``columns`` (of :func:`_score_columns`)
+    gives g at every cube point and every target point, reading the matrix
+    once for the whole batch; every test after it is on ints.
     """
-    l1 = sum(map(abs, ints))
-    int_edges = [(u, v, w) for (u, v), w in zip(pairs, ints)]
-    best, worst = scan_range(spec.dimension - 1, int_edges, l1)
+    l1s = [sum(map(abs, ints)) for ints in batch]
+    # The entries of columns are +-1, so every partial sum of a row's
+    # product, in any order, is an integer of magnitude at most its l1:
+    # float64 holds each one exactly while l1 < 2**53.  Past that, Python ints.
+    if max(l1s) < 1 << 53:
+        products = np.asarray(batch, dtype=np.float64) @ columns
+    else:
+        products = np.asarray(batch, dtype=object) @ columns.astype(np.int8)
+    size = columns.shape[1] - len(spec.points)
+    cube, at_points = products[:, :size], products[:, size:].tolist()
+    rows = zip(batch, l1s, cube.max(axis=1).tolist(), cube.min(axis=1).tolist(), at_points)
+    return [_band_check(spec, *row) for row in rows]
+
+
+def _band_check(spec: PartialFunctionSpec, ints, l1: int, best, worst, at_points):
+    """The exact check of one row after its product: the row's extrema
+    and its values at the target points, all integer-valued, give its
+    _Candidate or None."""
+    best, worst = int(best), int(worst)
     spread = best - worst
     if spread == 0:  # only all-zero weights leave g constant
         return None
     if spec.points:
         # spread * (t - g(x) / spread), with g(x) from the integer weights
-        gaps = [
-            t * spread - sum(map(mul, row, ints))
-            for (_, t), row in zip(spec.points, sign_points.tolist())
-        ]
+        gaps = [t * spread - int(g) for (_, t), g in zip(spec.points, at_points)]
         lo, hi = min(gaps), max(gaps)
         epsilon = spec.epsilon
         if (hi - lo) * epsilon.denominator > 2 * epsilon.numerator * spread:
@@ -230,52 +230,32 @@ def _exact_candidate(
     return _Candidate(ratio=Fraction(l1, spread), ints=tuple(ints), spread=spread, c=c)
 
 
-def _chain_check(spec: PartialFunctionSpec, pairs, sign_points: np.ndarray):
-    """The exact check of one chain, skipping directions it has checked.
-
-    A direction is integer weights divided by their gcd.  A repeated
-    direction has the ratio it had when first checked, which did not beat
-    the chain's best then; the best only increases, so the repeat cannot
-    beat it now, and the check returns None without a scan.
-    """
-    seen = set()
-
-    def check(ints) -> Optional[_Candidate]:
-        divisor = gcd(*ints)
-        if divisor == 0:  # all zero: g is constant
-            return None
-        direction = tuple(w // divisor for w in ints)
-        if direction in seen:
-            return None
-        seen.add(direction)
-        return _exact_candidate(spec, pairs, direction, sign_points)
-
-    return check
-
-
 _SNAP_GRIDS = (8, 16, 64, 256, 4096, SNAP_DENOMINATOR)
 
 
-def _snap_grids(weights: list):
+def _snap_grids(weights: list) -> list:
     """Round the float weights, of sum |w| = 1, onto successively finer
     common-denominator grids D, as the integer weights round(w * D).  A
     shared denominator keeps the exact delta-normalization small: if every
     weight is a/D then the spread is m/D and the normalized weights are
     plain a/m."""
-    for denominator in _SNAP_GRIDS:
-        yield [round(w * denominator) if abs(w) > 1e-9 else 0 for w in weights]
+    return [
+        [round(w * denominator) if abs(w) > 1e-9 else 0 for w in weights]
+        for denominator in _SNAP_GRIDS
+    ]
 
 
 # (p, q): rescale one weight by p/q
 _POLISH_FACTORS = ((2, 1), (3, 2), (5, 4), (1, 2), (2, 3), (4, 5))
 
 
-def _polish(candidate: _Candidate, check) -> _Candidate:
+def _polish(candidate: _Candidate, spec: PartialFunctionSpec, columns: np.ndarray) -> _Candidate:
     """Coordinate descent with the sign pattern frozen: rescale one weight
     at a time by fixed rational factors, keeping exact-feasible improvements.
 
     The factor p/q on weight i is tried as q * ints with ints[i] * p, which
-    has the same direction as the rescaled weights.
+    has the same direction as the rescaled weights.  The factors of one
+    weight are checked as one batch and taken in order.
     """
     best = candidate
     for _ in range(2):
@@ -283,10 +263,12 @@ def _polish(candidate: _Candidate, check) -> _Candidate:
         for i in range(len(best.ints)):
             if best.ints[i] == 0:
                 continue
+            trials = []
             for p, q in _POLISH_FACTORS:
                 trial = [q * w for w in best.ints]
                 trial[i] = best.ints[i] * p
-                result = check(trial)
+                trials.append(trial)
+            for result in _exact_candidates(spec, trials, columns):
                 if result is not None and result.ratio > best.ratio:
                     best = result
                     improved = True
@@ -296,16 +278,16 @@ def _polish(candidate: _Candidate, check) -> _Candidate:
     return best
 
 
-def _warm_starts(spec: PartialFunctionSpec, pairs, sign_points) -> list:
+def _warm_starts(spec: PartialFunctionSpec, columns: np.ndarray) -> list:
     """Integer starting directions: the uniform split and, when target
     points exist, weights aligned with the target signs (the sign of
     sum over points of (2t - 1) * s(e, x))."""
-    starts = [[1] * len(pairs)]
+    starts = [[1] * len(columns)]
     if spec.points:
-        signed = np.array([2 * t - 1 for _, t in spec.points], dtype=np.int64)
-        correlation = sign_points.astype(np.int64).T @ signed
+        signed = np.array([2 * t - 1 for _, t in spec.points], dtype=np.float64)
+        correlation = columns[:, columns.shape[1] - len(signed) :] @ signed
         if np.count_nonzero(correlation):
-            starts.append(np.sign(correlation).tolist())
+            starts.append(np.sign(correlation).astype(int).tolist())
     return starts
 
 
@@ -329,7 +311,9 @@ class _Carried:
         self.rows = list(columns)
         self.size = columns.shape[1] - len(spec.points)
         self.targets = [float(t) for _, t in spec.points]
-        self.band = 2.0 * float(spec.epsilon)
+        # the normalized gap range is at most 2, so every epsilon >= 1 scores
+        # alike; the clamp keeps a huge epsilon from overflowing float()
+        self.band = 2.0 * float(min(spec.epsilon, 2))
         self.w = [0.0] * len(columns)
         self.l1 = 0.0
         self.now, self.next = self._buffer(), self._buffer()
@@ -397,34 +381,29 @@ def _anneal_chain(
     budget: int,
     seed: int,
     columns: np.ndarray,
-    sign_points: np.ndarray,
 ) -> tuple:
     """One annealing chain; returns (best exact candidate or None, iterations).
 
-    ``columns`` and ``sign_points`` are those of :func:`_score_columns`,
-    built once per solve.  The random draws of each block of proposals
-    are made at once.  A proposal is accepted when its score is at least
-    the current score plus T log u, for u uniform on (0, 1]: the
-    Metropolis rule, with probability min(1, exp(change / T)).
+    ``columns`` is the matrix of :func:`_score_columns`, built once per
+    solve.  The random draws of each block of proposals are made at once.
+    A proposal is accepted when its score is at least the current score
+    plus T log u, for u uniform on (0, 1]: the Metropolis rule, with
+    probability min(1, exp(change / T)).
     """
     rng = np.random.default_rng(seed)
     m = len(pairs)
-    check = _chain_check(spec, pairs, sign_points)
     best_exact: Optional[_Candidate] = None
 
-    def consider(ints) -> None:
+    def consider(batch: list) -> None:
         nonlocal best_exact
-        candidate = check(ints)
-        if candidate is not None and (best_exact is None or candidate.ratio > best_exact.ratio):
-            best_exact = candidate
+        for candidate in _exact_candidates(spec, batch, columns):
+            if candidate is not None and (best_exact is None or candidate.ratio > best_exact.ratio):
+                best_exact = candidate
 
-    def try_snap(w: list) -> None:
-        for ints in _snap_grids(w):
-            consider(ints)
-
+    warm = _warm_starts(spec, columns)
+    consider(warm)
     starts = []
-    for ints in _warm_starts(spec, pairs, sign_points):
-        consider(ints)
+    for ints in warm:
         total = sum(map(abs, ints))
         starts.append([w / total for w in ints])
     chain = _Carried(columns, spec)
@@ -462,11 +441,11 @@ def _anneal_chain(
                 if score > best_float_score:
                     best_float, best_float_score = chain.weights(), score
             if (it + 1) % check_interval == 0 and best_float_score > last_snapped_score + 1e-12:
-                try_snap(best_float)
+                consider(_snap_grids(best_float))
                 last_snapped_score = best_float_score
-    try_snap(best_float)
+    consider(_snap_grids(best_float))
     if best_exact is not None:
-        best_exact = _polish(best_exact, check)
+        best_exact = _polish(best_exact, spec, columns)
     return best_exact, max(budget, 0)
 
 
@@ -508,13 +487,11 @@ def _solve(
         )
     pairs = _canonical_template(template, spec.dimension)
     _check_provably_feasible(spec)
-    columns, sign_points = _score_columns(spec, pairs)
+    columns = _score_columns(spec, pairs)
     best: Optional[_Candidate] = None
     best_iterations = 0
     for chain in range(chains):
-        candidate, iterations = _anneal_chain(
-            spec, pairs, budget, seed + chain, columns, sign_points
-        )
+        candidate, iterations = _anneal_chain(spec, pairs, budget, seed + chain, columns)
         if candidate is not None and (best is None or candidate.ratio > best.ratio):
             best = candidate
             best_iterations = iterations

@@ -15,8 +15,8 @@ ancilla; the edges among high coordinates are one scalar.  The high
 coordinates are walked in Gray-code order, so each step flips one h and
 updates the block with one vector add of twice its cross column and the
 scalar with O(degree) integer operations.  ``scan_cube`` (extrema with
-witnesses), ``scan_range`` (extrema alone) and ``support_classes``
-(points where f is 1 or 0) reduce that one walk.
+witnesses) and ``support_classes`` (points where f is 1 or 0) reduce
+that one walk.
 
 The vectors are int64 when 4 * sum|w| < 2**63: that bounds every value
 and every doubled cross column, so nothing can overflow.  Otherwise they
@@ -198,17 +198,6 @@ def scan_cube(n: int, int_edges, l1: int):
         merged = result if merged is None else _merge(merged, result)
     best, (hi_best, i), worst, (hi_worst, j) = merged
     return best, _points(n, hi_best, [i])[0], worst, _points(n, hi_worst, [j])[0]
-
-
-def scan_range(n: int, int_edges, l1: int):
-    """(max, min) of :func:`scan_cube`, without building the witnesses."""
-    highs, lows = zip(
-        *(
-            (int(block.max()) + offset, int(block.min()) + offset)
-            for _, block, offset in _walk(n, int_edges, l1)
-        )
-    )
-    return max(highs), min(lows)
 
 
 def vertex_weight_bound(wdg: WDG) -> Fraction:

@@ -459,6 +459,22 @@ class TestOptimize:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    @pytest.mark.parametrize("where", ["option", "document"])
+    def test_huge_finite_epsilon(self, tmp_path, capsys, where):
+        text = json.dumps(
+            {
+                "format_version": 1,
+                "dimension": 3,
+                "epsilon": "0" if where == "option" else "1e400",
+                "points": [{"input": "++", "value": 1}, {"input": "--", "value": 0}],
+            }
+        )
+        path = tmp_path / "loose.json"
+        path.write_text(text)
+        option = ["--epsilon", "1e400"] if where == "option" else []
+        assert main(["optimize", "maximize_l1", str(path), "--budget", "300", *option]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_float_point_value_exits_2(self, tmp_path, capsys):
         text = json.dumps(
             {

@@ -32,7 +32,7 @@ from wdglab import (
 from wdglab import optimize
 from wdglab.core import scale_to_integers
 from wdglab.errors import SizeBudgetExceededError
-from wdglab.optimize import _Carried, _exact_candidate, _score_columns, _sign_columns
+from wdglab.optimize import _Carried, _exact_candidates, _score_columns
 
 F = Fraction
 
@@ -130,6 +130,13 @@ class TestMaximize:
         )
         result = maximize_l1(spec, budget=500, seed=0)
         assert result.verified
+
+    def test_huge_finite_epsilon(self):
+        # float(10**400) overflows; every epsilon >= 1 accepts any weights
+        points = (((1, -1, 1), 0), ((1, -1, 1), 1))
+        spec = PartialFunctionSpec(dimension=4, points=points, epsilon=F(10) ** 400)
+        result = maximize_l1(spec, budget=300, seed=0)
+        assert result.verified and result.spec.epsilon == F(10) ** 400
 
     def test_determinism(self, six_vertex_target):
         first = maximize_l1(six_vertex_target, budget=1200, seed=3)
@@ -263,8 +270,7 @@ def reference_exact_candidate(spec, pairs, weights):
 
 def exact_check(spec, pairs, ints):
     """The optimizer's exact check of the integer weights ``ints``."""
-    sign_points = _sign_columns(spec.dimension, pairs, [x for x, _ in spec.points])
-    return _exact_candidate(spec, pairs, ints, sign_points)
+    return _exact_candidates(spec, [ints], _score_columns(spec, pairs))[0]
 
 
 def checked_values(candidate):
@@ -313,12 +319,14 @@ class TestExactCandidate:
 
     def test_matches_reference_on_random_candidates(self):
         rng = random.Random(5)
-        outcomes = {"none": 0, "feasible": 0, "past_int64": 0}
+        outcomes = {"none": 0, "feasible": 0, "past_float64": 0, "past_int64": 0}
         for _ in range(300):
             spec, pairs, weights = self._random_case(rng)
             candidate = self._check(spec, pairs, weights)
             outcomes["none" if candidate is None else "feasible"] += 1
             common = math.lcm(*(w.denominator for w in weights))
+            if sum(map(abs, weights)) * common >= 1 << 53:
+                outcomes["past_float64"] += 1
             if 4 * sum(map(abs, weights)) * common >= 1 << 63:
                 outcomes["past_int64"] += 1
         assert min(outcomes.values()) >= 30, outcomes
@@ -345,6 +353,15 @@ class TestExactCandidate:
         assert self._check(spec, pairs, weights) is not None
         tighter = PartialFunctionSpec(dimension=3, points=points, epsilon=F(1, 2) - F(1, 10**30))
         assert self._check(tighter, pairs, weights) is None
+
+    @pytest.mark.parametrize("l1", [(1 << 53) - 1, 1 << 53, (1 << 53) + 1])
+    def test_at_the_float64_bound(self, l1):
+        # g(1, 1) = l1 is the maximum; 2**53 + 1 is the first integer that
+        # float64 rounds, so a float product at that l1 would miss it
+        spec = PartialFunctionSpec(dimension=3, points=(((1, 1), 1), ((-1, -1), 0)), epsilon=0)
+        weights = [F((1 << 52) + 1), F(l1 - (1 << 52) - 2), F(1)]
+        candidate = self._check(spec, full_template(3), weights)
+        assert candidate.ratio == F(l1, 2 * l1 - 2)
 
     def test_denominators_past_int64(self):
         spec = PartialFunctionSpec(dimension=5, points=(((1, 1, -1, 1), 1),), epsilon=0)
@@ -375,8 +392,8 @@ def scaled_check_case(draw):
 class TestScaleInvariance:
     """The exact check sees only the direction of its integer weights.
 
-    The integer snap grids, the integer polish and the repeat memo all
-    rest on this: k * ints is checked as ints.
+    The integer snap grids and the integer polish both rest on this:
+    k * ints is checked as ints.
     """
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -468,7 +485,7 @@ class TestCarriedScore:
         spec, pairs, weights, moves = case
         if not any(weights):
             weights[0] = 1.0
-        chain = _Carried(_score_columns(spec, pairs)[0], spec)
+        chain = _Carried(_score_columns(spec, pairs), spec)
         chain.reset([w / sum(map(abs, weights)) for w in weights])
         for i, kind, value in moves:
             old = chain.w[i]

@@ -220,6 +220,20 @@ def support_cases():
     return cases
 
 
+@st.composite
+def int_graph(draw):
+    """(n, int_edges, l1) with zeros and signs, and with weights past 2**63
+    in about half the cases, so both block dtypes are scanned."""
+    n = draw(st.integers(0, 13))
+    pairs = [(u, v) for u in range(n + 1) for v in range(u + 1, n + 1)]
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    small = st.integers(-20, 20)
+    wide = st.builds(lambda high, low: (high << 64) + low, st.integers(-20, 20), small)
+    weight = draw(st.sampled_from((small, wide)))
+    edges = [(u, v, draw(weight)) for u, v in chosen]
+    return n, edges, sum(abs(w) for _, _, w in edges)
+
+
 class TestScanKernel:
     def test_dtype_at_int64_bound(self):
         assert oracle._block_layout((1 << 61) - 1)[0] is np.int64
@@ -240,34 +254,12 @@ class TestScanKernel:
             if wdg.num_variables <= 9:
                 assert scanned == naive_extrema(wdg)
 
-
-@st.composite
-def int_graph(draw):
-    """(n, int_edges, l1) with zeros and signs, and with weights past 2**63
-    in about half the cases, so both block dtypes are scanned."""
-    n = draw(st.integers(0, 13))
-    pairs = [(u, v) for u in range(n + 1) for v in range(u + 1, n + 1)]
-    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
-    small = st.integers(-20, 20)
-    wide = st.builds(lambda high, low: (high << 64) + low, st.integers(-20, 20), small)
-    weight = draw(st.sampled_from((small, wide)))
-    edges = [(u, v, draw(weight)) for u, v in chosen]
-    return n, edges, sum(abs(w) for _, _, w in edges)
-
-
-class TestScanRange:
     @settings(max_examples=120, deadline=None, database=None, derandomize=True)
     @given(graph=int_graph())
-    def test_equals_scan_cube_values(self, graph):
-        best, _, worst, _ = oracle.scan_cube(*graph)
-        assert oracle.scan_range(*graph) == (best, worst)
-
-    def test_both_dtypes_at_the_bound(self):
-        for l1 in ((1 << 61) - 1, 1 << 61):
-            wdg = int64_boundary_graph(l1)
-            n, (_, edges, scaled, _) = wdg.num_variables, wdg.scaled
-            best, _, worst, _ = oracle.scan_cube(n, edges, scaled)
-            assert oracle.scan_range(n, edges, scaled) == (best, worst)
+    def test_matches_reference_on_int_graphs(self, graph):
+        n, edges, _ = graph
+        wdg = build_wdg(n + 1, edges)  # drops the zero weights
+        assert oracle.scan_cube(*graph) == reference_extrema(wdg)
 
 
 def fraction_l1(wdg):
