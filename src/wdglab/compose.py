@@ -32,19 +32,20 @@ for factor dimensions n and m, instead of summing dense Kronecker
 matrices.  The weights are built as integers over one common
 denominator, keyed by composite vertex pair, and that keyed builder
 guards the argument: it raises DuplicateEdgeError if two contributions
-ever land on one vertex pair.  ``build_wdg`` is not run on the result;
-the builder drops zero weights and orders the edges itself.
+ever land on one vertex pair.  ``build_wdg`` is not run on the result:
+the builder orders the keyed integers into the graph's stored form
+itself, over their least common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     WDG,
     Assignment,
-    Edge,
     RationalLike,
     as_rational,
     l1_norm,
@@ -108,23 +109,18 @@ def _build(
     every j; a right edge puts ``right * w'`` on {(i,p), (i,q)} for every i.
 
     Everything runs on integers: the factor weights are a / D1 and b / D2
-    in the factors' cached ``scaled`` forms, the roles become int
-    multipliers P, L and R over one denominator D, and the composite
-    weights are P*a*b, L*a and R*b over D.  The weight of composite pair
-    (x, y) is stored under the key x * n*m + y; factor edges have u < v,
-    so every composite pair has x < y.
+    in the factors' stored forms, the roles become int multipliers P, L
+    and R over one denominator D, and the composite weights are P*a*b,
+    L*a and R*b over D, divided once by their gcd with D.  The weight of
+    composite pair (x, y) is stored under the key x * n*m + y; factor
+    edges have u < v, so every composite pair has x < y.
     """
     n, m = d1.dimension, d2.dimension
     size = n * m
-    den1, ints1, _, _ = d1.scaled
-    den2, ints2, _, _ = d2.scaled
+    ints1, ints2 = d1.int_edges, d2.int_edges
     den, (pair_int, left_int, right_int) = scale_to_integers(
-        (pair / (den1 * den2), left / den1, right / den2)
+        (pair / (d1.denom * d2.denom), left / d1.denom, right / d2.denom)
     )
-    # a zero role multiplier or factor weight contributes only zero weights,
-    # which are dropped as build_wdg drops them
-    ints1 = [e for e in ints1 if e[2]]
-    ints2 = [e for e in ints2 if e[2]]
 
     def runs():
         """(keys, weights) for each run of writes; ``weights`` is a list."""
@@ -137,7 +133,7 @@ def _build(
             pair_weights = [pair_int * a * b for b in weights2]
             yield map(base.__add__, keys_pq), pair_weights
             yield map(base.__add__, keys_qp), pair_weights
-            if left_int:
+            if left_int:  # a zero multiplier would write only zero weights
                 yield range(base, base + m * step, step), [left_int * a] * m
         if right_int:
             for (_, _, b), key in zip(ints2, keys_pq):
@@ -161,11 +157,11 @@ def _build(
         raise WdgError(
             f"composed L1 {actual} does not match the closed form {expected}"
         )
-    rationals = {w: Fraction(w, den) for w in set(weights.values())}
-    edges = tuple(
-        Edge(*divmod(key, size), rationals[weights[key]]) for key in sorted(weights)
+    common = gcd(den, *weights.values())
+    int_edges = tuple(
+        (key // size, key % size, weights[key] // common) for key in sorted(weights)
     )
-    wdg = WDG(dimension=size, edges=edges, shift=shift)
+    wdg = WDG(dimension=size, denom=den // common, int_edges=int_edges, shift=shift)
     return ComposedResult(wdg=wdg, shift=shift, predicted_l1=expected, mode=mode)
 
 

@@ -13,9 +13,10 @@ shift constant ``K`` carried with the graph.
 Assignments omit the ancilla coordinate: an ``Assignment`` for a
 ``d``-vertex graph has length ``d - 1`` and lists ``x_1 .. x_{d-1}``.
 
-All weights and shifts are :class:`fractions.Fraction`; every operation
-in this module is exact.  Floats are rejected at the boundary so that
-rounding can never sneak in.
+A graph stores its weights as integers over their least common
+denominator and its shift as a :class:`fractions.Fraction`; every
+operation in this module is exact.  Floats are rejected at the boundary
+so that rounding can never sneak in.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     BadIndexError,
@@ -122,25 +123,21 @@ class Edge:
     weight: Fraction
 
 
-class ScaledForm(NamedTuple):
-    """Edge weights over their common denominator ``denom``: ``edges`` are
-    (u, v, w * denom) in edge order, ``l1`` sums their |w * denom| and
-    ``vertex_bound`` is the largest such sum over one vertex's edges."""
-
-    denom: int
-    edges: tuple
-    l1: int
-    vertex_bound: int
-
-
 @dataclass(frozen=True)
 class WDG:
     """A weighted dynamical graph: ``dimension`` vertices (ancilla at 0),
-    canonical sorted edges, and the shift constant with ``f = g + shift``.
+    its edge weights as integers over their least common denominator
+    ``denom``, and the shift constant with ``f = g + shift``.
+
+    ``int_edges`` holds (u, v, w * denom) with u < v, sorted by (u, v),
+    and no zero weight.  ``denom`` is least, so gcd(denom, *those ints) is
+    1, and each rational graph has one stored form: == and hash compare
+    the rational graphs.
     """
 
     dimension: int
-    edges: tuple
+    denom: int
+    int_edges: tuple
     shift: Fraction
 
     @property
@@ -149,16 +146,13 @@ class WDG:
         return self.dimension - 1
 
     @cached_property
-    def scaled(self) -> ScaledForm:
-        """The integer form, built once in O(edges); not a field, so ==, hash
-        and repr ignore it."""
-        denom, ints = scale_to_integers([e.weight for e in self.edges])
-        edges = tuple((e.u, e.v, w) for e, w in zip(self.edges, ints))
-        incidence = {}
-        for u, v, w in edges:
-            incidence[u] = incidence.get(u, 0) + abs(w)
-            incidence[v] = incidence.get(v, 0) + abs(w)
-        return ScaledForm(denom, edges, sum(map(abs, ints)), max(incidence.values(), default=0))
+    def edges(self) -> tuple:
+        """The ``Edge`` tuple, with Fraction weights, built once in O(edges)
+        for the Fraction re-checks; not a field, so ==, hash and repr
+        ignore it."""
+        denom = self.denom
+        weights = {w: Fraction(w, denom) for w in {w for _, _, w in self.int_edges}}
+        return tuple(Edge(u, v, weights[w]) for u, v, w in self.int_edges)
 
 
 @dataclass(frozen=True)
@@ -214,8 +208,10 @@ def build_wdg(
         if (u, v) in canonical:
             raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
         canonical[(u, v)] = weight
-    edge_tuple = tuple(Edge(u, v, canonical[(u, v)]) for (u, v) in sorted(canonical))
-    return WDG(dimension=dimension, edges=edge_tuple, shift=as_rational(shift))
+    pairs = sorted(canonical)
+    denom, ints = scale_to_integers([canonical[pair] for pair in pairs])
+    int_edges = tuple((u, v, w) for (u, v), w in zip(pairs, ints))
+    return WDG(dimension=dimension, denom=denom, int_edges=int_edges, shift=as_rational(shift))
 
 
 def matrix_of(wdg: WDG) -> AssociatedMatrix:
@@ -267,7 +263,8 @@ def f_value(wdg: WDG, x: Sequence[int]) -> Fraction:
 
 
 def scale_to_integers(values: Sequence[Fraction]) -> tuple:
-    """(D, [v * D for v in values]) for the common denominator D of ``values``.
+    """(D, [v * D for v in values]) for the least common denominator D of
+    ``values``; gcd(D, *those ints) is 1.
 
     D is 1 when ``values`` is empty.
     """
@@ -280,7 +277,7 @@ def l1_norm(wdg: WDG) -> Fraction:
 
     The shift is not included; see :func:`l1_norm_with_shift`.
     """
-    return Fraction(wdg.scaled.l1, wdg.scaled.denom)
+    return Fraction(sum(abs(w) for _, _, w in wdg.int_edges), wdg.denom)
 
 
 def l1_norm_with_shift(wdg: WDG) -> Fraction:

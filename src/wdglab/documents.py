@@ -137,10 +137,8 @@ def serialize_wdg(wdg: WDG) -> str:
     ``[-0-9/]``.  Raises SizeBudgetExceededError on a graph that
     parse_wdg_document would refuse.
     """
-    # each distinct weight object is checked and formatted once; keyed by
-    # id because Fraction hashing is slow, and a composite or a parsed graph
-    # shares one object per distinct value
-    weights = {id(e.weight): e.weight for e in wdg.edges}
+    # each distinct integer weight is checked and formatted once
+    weights = {w: Fraction(w, wdg.denom) for w in dict.fromkeys(w for _, _, w in wdg.int_edges)}
     try:
         _check_graph_size(wdg.shift, weights.values())
     except DocumentError as exc:
@@ -150,13 +148,12 @@ def serialize_wdg(wdg: WDG) -> str:
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "dimension": {wdg.dimension},\n'
         f'  "shift": "{format_rational(wdg.shift)}",\n  "edges": '
     )
-    if not wdg.edges:
+    if not wdg.int_edges:
         return head + "[]\n}\n"
     body = ",\n".join(
         [
-            f'    {{\n      "u": {e.u},\n      "v": {e.v},\n'
-            f'      "w": "{texts[id(e.weight)]}"\n    }}'
-            for e in wdg.edges
+            f'    {{\n      "u": {u},\n      "v": {v},\n      "w": "{texts[w]}"\n    }}'
+            for u, v, w in wdg.int_edges
         ]
     )
     return f"{head}[\n{body}\n  ]\n}}\n"

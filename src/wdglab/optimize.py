@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -254,8 +254,10 @@ def _polish(candidate: _Candidate, spec: PartialFunctionSpec, columns: np.ndarra
     at a time by fixed rational factors, keeping exact-feasible improvements.
 
     The factor p/q on weight i is tried as q * ints with ints[i] * p, which
-    has the same direction as the rescaled weights.  The factors of one
-    weight are checked as one batch and taken in order.
+    has the same direction as the rescaled weights, divided by the gcd of
+    its entries so that sum |w| stays near the snap grids' size, on the
+    float64 product.  The factors of one weight are checked as one batch
+    and taken in order.
     """
     best = candidate
     for _ in range(2):
@@ -267,7 +269,8 @@ def _polish(candidate: _Candidate, spec: PartialFunctionSpec, columns: np.ndarra
             for p, q in _POLISH_FACTORS:
                 trial = [q * w for w in best.ints]
                 trial[i] = best.ints[i] * p
-                trials.append(trial)
+                common = gcd(*trial)
+                trials.append([w // common for w in trial])
             for result in _exact_candidates(spec, trials, columns):
                 if result is not None and result.ratio > best.ratio:
                     best = result

@@ -1,9 +1,9 @@
 """Brute-force ground truth over the input hypercube.
 
-Every scan reads the graph's cached integer form ``WDG.scaled``, its
-weights over their common denominator, so it runs on integers and stays
-exact.  The same form holds the sums behind the bounds
-``2 * vertex weight bound <= delta <= 2 * l1``.
+Every scan reads the graph's stored form ``WDG.int_edges``, its weights
+as integers over their common denominator ``WDG.denom``, so it runs on
+integers and stays exact.  The sums behind the bounds
+``2 * vertex weight bound <= delta <= 2 * l1`` are taken there too.
 
 The exact extrema scan splits the n free coordinates.  The lowest-
 significance L of them form a block: one numpy vector of the graph
@@ -206,7 +206,12 @@ def vertex_weight_bound(wdg: WDG) -> Fraction:
     Twice this value is a guaranteed lower bound on delta: flipping the
     heaviest vertex alone swings g by that much.
     """
-    return Fraction(wdg.scaled.vertex_bound, wdg.scaled.denom)
+    incidence = {}
+    for u, v, w in wdg.int_edges:
+        w = abs(w)
+        incidence[u] = incidence.get(u, 0) + w
+        incidence[v] = incidence.get(v, 0) + w
+    return Fraction(max(incidence.values(), default=0), wdg.denom)
 
 
 def extrema(wdg: WDG) -> ExtremaReport:
@@ -228,10 +233,10 @@ def extrema(wdg: WDG) -> ExtremaReport:
             lower_bound=lower,
             upper_bound=upper,
         )
-    denom, int_edges, l1, _ = wdg.scaled
-    best, arg_best, worst, arg_worst = scan_cube(wdg.num_variables, int_edges, l1)
-    gmax = Fraction(best, denom)
-    gmin = Fraction(worst, denom)
+    l1 = sum(abs(w) for _, _, w in wdg.int_edges)
+    best, arg_best, worst, arg_worst = scan_cube(wdg.num_variables, wdg.int_edges, l1)
+    gmax = Fraction(best, wdg.denom)
+    gmin = Fraction(worst, wdg.denom)
     return ExtremaReport(
         exact=True,
         max=gmax,
@@ -267,7 +272,8 @@ def support_classes(
                 f"{n} free coordinates exceed the limit {OUTPUT_SIZE_LIMIT}; "
                 f"pass an explicit domain"
             )
-        denom, int_edges, l1, _ = wdg.scaled
+        denom, int_edges = wdg.denom, wdg.int_edges
+        l1 = sum(abs(w) for _, _, w in int_edges)
         targets = [((1 - wdg.shift) * denom, plus), (-wdg.shift * denom, minus)]
         targets = [(int(t), found) for t, found in targets if t.denominator == 1 and abs(t) <= l1]
         for high, block, offset in _walk(n, int_edges, l1):

@@ -1,8 +1,11 @@
 import importlib
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdglab import (
     ComposedResult,
@@ -120,6 +123,17 @@ def dense_compose(mode, d1, d2):
     return ComposedResult(wdg=wdg, shift=shift, predicted_l1=expected, mode=mode)
 
 
+@st.composite
+def factors(draw):
+    """A graph of 1 to 6 vertices with small rational weights; shifts of 0
+    and 1 zero the diagonal coefficients K/n (AND) and (1-K)/n (OR)."""
+    n = draw(st.integers(1, 6))
+    rationals = st.builds(F, st.integers(-16, 16), st.integers(1, 16))
+    weights = st.just(0) | rationals  # zero weights are dropped
+    edges = [(u, v, draw(weights)) for u in range(n) for v in range(u + 1, n)]
+    return build_wdg(n, edges, draw(st.sampled_from((0, 1)) | rationals))
+
+
 class TestDenseReference:
     def test_golden_pair(self, pair_left, pair_right):
         for mode in ("and", "or"):
@@ -127,20 +141,18 @@ class TestDenseReference:
                 mode, pair_left, pair_right
             )
 
-    def test_random_pairs(self, rng, random_wdg):
-        def factor(k):
-            # every tenth factor has dimension 1; shifts of 0 and 1 zero the
-            # diagonal coefficients K/n (AND) and (1-K)/n (OR)
-            wdg = random_wdg(rng, 1 if k % 10 == 0 else rng.randint(1, 6))
-            shift = rng.choice((0, 1, wdg.shift))
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(d1=factors(), d2=factors())
+    def test_random_pairs(self, d1, d2):
+        for mode in ("and", "or"):
+            result = compose(mode, d1, d2)
+            assert result == dense_compose(mode, d1, d2), mode
+            # the stored form is least and equals the one build_wdg makes
+            wdg = result.wdg
+            assert gcd(wdg.denom, *(w for _, _, w in wdg.int_edges)) == 1, mode
             edges = [(e.u, e.v, e.weight) for e in wdg.edges]
-            return build_wdg(wdg.dimension, edges, shift)
-
-        for k in range(50):
-            d1, d2 = factor(k), factor(k + 5)
-            for mode in ("and", "or"):
-                assert compose(mode, d1, d2) == dense_compose(mode, d1, d2), (k, mode)
-
+            rebuilt = build_wdg(wdg.dimension, edges, wdg.shift)
+            assert hash(wdg) == hash(rebuilt), mode
 
     def test_composite_ints_past_int64(self):
         # coprime denominators near 2**61 and 10**9: over their common

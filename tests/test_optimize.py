@@ -709,3 +709,53 @@ class TestPinnedResults:
         expected = [(int(e[0]), int(e[1]), F(e[3:])) for e in edges.split()]
         assert [(e.u, e.v, e.weight) for e in result.wdg.edges] == expected
         assert result.verified
+
+
+def unreduced_polish(candidate, spec, columns):
+    """``optimize._polish`` without dividing each trial by its gcd: the
+    reference whose results the reduced polish must equal."""
+    best = candidate
+    for _ in range(2):
+        improved = False
+        for i in range(len(best.ints)):
+            if best.ints[i] == 0:
+                continue
+            trials = []
+            for p, q in optimize._POLISH_FACTORS:
+                trial = [q * w for w in best.ints]
+                trial[i] = best.ints[i] * p
+                trials.append(trial)
+            for result in _exact_candidates(spec, trials, columns):
+                if result is not None and result.ratio > best.ratio:
+                    best = result
+                    improved = True
+                    break
+        if not improved:
+            break
+    return best
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "name", ["max-d8-seed0", "max-d8-seed1", "min-d8-seed0", "min-d8-seed1", "chains-2"]
+    )
+    def test_reduced_matches_unreduced(self, monkeypatch, name):
+        calls = []
+        polish = optimize._polish
+
+        def recorded(candidate, spec, columns):
+            result = polish(candidate, spec, columns)
+            calls.append((candidate, spec, columns, result))
+            return result
+
+        monkeypatch.setattr(optimize, "_polish", recorded)
+        solver, spec, kwargs = PINNED_CASES[name]
+        solver(spec, **kwargs)
+        assert calls
+        for candidate, spec, columns, result in calls:
+            reference = unreduced_polish(candidate, spec, columns)
+            assert result is not candidate  # polish improved on every chain
+            assert math.gcd(*result.ints) == 1
+            assert (result.ratio, result.weights, result.c) == (
+                reference.ratio, reference.weights, reference.c
+            )

@@ -194,7 +194,7 @@ def planted(wdg, a, b):
 
 
 def scaled_l1(wdg):
-    return wdg.scaled.l1
+    return sum(abs(w) for _, _, w in wdg.int_edges)
 
 
 def support_cases():
@@ -282,40 +282,42 @@ class TestScaledForm:
         cases = [make_random_wdg(rng, rng.randint(1, 12)) for _ in range(40)]
         cases += [build_wdg(d, []) for d in (1, 2, 9)] + support_cases()
         for wdg in cases:
-            form = wdg.scaled
-            assert form.denom == lcm(*(e.weight.denominator for e in wdg.edges))
-            assert [(u, v) for u, v, _ in form.edges] == [(e.u, e.v) for e in wdg.edges]
-            assert all(F(w, form.denom) == e.weight for (_, _, w), e in zip(form.edges, wdg.edges))
-            assert F(form.l1, form.denom) == fraction_l1(wdg) == l1_norm(wdg)
-            assert F(form.vertex_bound, form.denom) == fraction_vertex_bound(wdg)
+            assert wdg.denom == lcm(*(e.weight.denominator for e in wdg.edges))
+            pairs = [(u, v) for u, v, _ in wdg.int_edges]
+            assert pairs == sorted(set(pairs)) and all(u < v and w for u, v, w in wdg.int_edges)
+            assert l1_norm(wdg) == fraction_l1(wdg)
             assert vertex_weight_bound(wdg) == fraction_vertex_bound(wdg)
-            assert wdg.scaled is form
-        assert max(wdg.scaled.denom for wdg in cases) >= 1 << 63
+        assert max(wdg.denom for wdg in cases) >= 1 << 63
 
     def test_empty_graph(self):
-        assert build_wdg(4, [], F(1, 3)).scaled == (1, (), 0, 0)
+        wdg = build_wdg(4, [], F(1, 3))
+        assert (wdg.denom, wdg.int_edges, wdg.edges) == (1, (), ())
+        assert l1_norm(wdg) == vertex_weight_bound(wdg) == 0
 
     def test_huge_dimension_stays_o_edges(self):
         wdg = build_wdg(1_000_000, [(0, 999_999, F(1, 3)), (5, 999_999, F(-2, 7))])
         tracemalloc.start()
         start = time.perf_counter()
-        form = wdg.scaled
+        sums = l1_norm(wdg), vertex_weight_bound(wdg)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert form == (21, ((0, 999_999, 7), (5, 999_999, -6)), 13, 13)
+        assert (wdg.denom, wdg.int_edges) == (21, ((0, 999_999, 7), (5, 999_999, -6)))
+        assert sums == (F(13, 21), F(13, 21))
         # a per-vertex array would take 8 MB
         assert peak < 100_000 and elapsed < 0.1
 
     def test_cache_is_not_a_field(self, rng, random_wdg):
         a = random_wdg(rng, 7)
         b = build_wdg(a.dimension, [(e.u, e.v, e.weight) for e in a.edges], a.shift)
-        a.scaled
-        assert "scaled" in vars(a) and "scaled" not in vars(b)
+        assert "edges" in vars(a) and "edges" not in vars(b)
+        assert a.edges is a.edges
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert [field.name for field in dataclasses.fields(a)] == ["dimension", "edges", "shift"]
+        assert [field.name for field in dataclasses.fields(a)] == [
+            "dimension", "denom", "int_edges", "shift"
+        ]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            a.scaled = None
+            a.edges = None
 
 
 class TestVertexWeightBound:
